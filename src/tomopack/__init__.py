@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .hilbert import (
     Quorum,
     chart_length,
-    embed_orthonormal_triple,
     projector_from_vectors,
     quorum_from_chart,
     traceless_part,
@@ -18,15 +17,12 @@ from .metrics import (
     evaluate_quorum,
     extend_to_maximal,
     gram_matrix,
-    non_orthogonality,
     orthoplex_report,
-    quality_measure,
     repetition_overhead,
     upper_bound,
 )
 from .powell import PowellConfig, PowellResult, line_minimize, powell_minimize
 from .schedule import (
-    ObjectiveSpec,
     ScheduleConfig,
     TraceRecord,
     alternating_optimize,

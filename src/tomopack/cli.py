@@ -16,8 +16,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .fileio import (
     ChartFileError,
     orthoplex_document,
@@ -30,11 +28,11 @@ from .fileio import (
 )
 from .hilbert import quorum_from_chart
 from .metrics import (
-    evaluate_quorum,
+    evaluate_quorum,  # not called here; kept for tomobench, whose traced run replaces it
     extend_to_maximal,
     gram_matrix,
     orthoplex_report,
-    quality_measure,
+    report_from_gram,
 )
 from .powell import PowellConfig
 from .reference import (
@@ -107,9 +105,8 @@ def cmd_evaluate(args) -> int:
         angles, n, l, _meta = read_chart(args.chart)
     except (OSError, ChartFileError) as exc:
         return _fail(str(exc), 2)
-    quorum = quorum_from_chart(angles, n, l)
-    report = evaluate_quorum(quorum)
-    doc = report_document(report, gram_matrix(quorum), n, l)
+    gram = gram_matrix(quorum_from_chart(angles, n, l))
+    doc = report_document(report_from_gram(gram, n, l), gram, n, l)
     json.dump(doc, sys.stdout, indent=2)
     print()
     return 0
@@ -158,14 +155,9 @@ def cmd_reference(args) -> int:
         n = int(name[-1])
         fam = mub_family(n)
         try:
-            verify_mub_family(fam)
+            overlap_dev = verify_mub_family(fam)
         except ValueError as exc:
             return _fail(f"verification failed: {exc}", 1)
-        overlap_dev = 0.0
-        for a in range(len(fam.bases)):
-            for b in range(a + 1, len(fam.bases)):
-                ov = np.abs(fam.bases[a].conj().T @ fam.bases[b]) ** 2
-                overlap_dev = max(overlap_dev, float(np.max(np.abs(ov - 1.0 / n))))
         doc = {
             "format_version": 1,
             "kind": "mub_family",
@@ -180,16 +172,16 @@ def cmd_reference(args) -> int:
         return _emit(doc, args.out)
     if name in ("n2-rank1", "n4-rank2"):
         quorum = rank1_optimal_quorum_n2() if name == "n2-rank1" else halfdim_optimal_quorum_n4()
-        report = evaluate_quorum(quorum)
-        qual = quality_measure(quorum)
+        gram = gram_matrix(quorum)
+        report = report_from_gram(gram, quorum.n, quorum.l)
         ub = report.upper_bound
-        if abs(qual.quality - ub) > 1e-9 * ub or report.non_orthogonality_l > 1e-9:
-            return _fail(f"verification failed: quality {qual.quality!r} vs bound {ub!r}", 1)
+        if abs(report.quality - ub) > 1e-9 * ub or report.non_orthogonality_l > 1e-9:
+            return _fail(f"verification failed: quality {report.quality!r} vs bound {ub!r}", 1)
         doc = projector_set_document(
             quorum.projectors,
             quorum.n,
             quorum.l,
-            extra={"kind": name, "report": report_document(report, gram_matrix(quorum), quorum.n, quorum.l)},
+            extra={"kind": name, "report": report_document(report, gram, quorum.n, quorum.l)},
         )
         return _emit(doc, args.out)
     return _fail(f"unknown reference name {name!r}", 2)

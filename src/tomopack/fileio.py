@@ -15,8 +15,8 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .hilbert import Quorum, chart_length
-from .metrics import MaximalSet, MetricsReport, OrthoplexReport, worst_pairs
+from .hilbert import chart_length
+from .metrics import MetricsReport, OrthoplexReport, worst_pairs
 
 __all__ = [
     "ChartFileError",
@@ -26,11 +26,12 @@ __all__ = [
     "write_report",
     "write_trace_csv",
     "projector_set_document",
-    "write_projector_set",
 ]
 
 FORMAT_VERSION = 1
-TRACE_COLUMNS = ["phase", "iteration", "objective_kind", "objective", "quality", "ln_L", "elapsed_s"]
+TRACE_COLUMNS = [
+    "phase", "iteration", "objective_kind", "objective", "quality", "ln_L", "evaluations", "elapsed_s",
+]
 
 
 class ChartFileError(ValueError):
@@ -121,6 +122,7 @@ def write_trace_csv(path, trace) -> None:
                     repr(rec.objective),
                     repr(rec.quality),
                     repr(rec.ln_l),
+                    rec.evaluations,
                     repr(rec.elapsed_s),
                 ]
             )
@@ -151,9 +153,3 @@ def projector_set_document(projectors: np.ndarray, n: int, l: int, extra: dict |
 
 def orthoplex_document(report: OrthoplexReport) -> dict:
     return asdict(report)
-
-
-def write_projector_set(path, projectors: np.ndarray, n: int, l: int, extra: dict | None = None) -> None:
-    with open(path, "w") as fh:
-        json.dump(projector_set_document(projectors, n, l, extra=extra), fh)
-        fh.write("\n")

@@ -21,14 +21,11 @@ __all__ = [
     "params_per_vector",
     "chart_length",
     "vector_from_angles",
-    "complement_basis",
     "embed_orthonormal_vectors",
-    "embed_orthonormal_triple",
     "projector_from_vectors",
     "traceless_part",
     "fixed_first_projector",
     "quorum_from_chart",
-    "validate_projector",
 ]
 
 # Composed operations (embedding plus projector assembly) get this much slack;
@@ -173,33 +170,12 @@ def _embed_batch(components: np.ndarray, n: int, l: int) -> np.ndarray:
     return out
 
 
-def complement_basis(v: np.ndarray) -> np.ndarray:
-    """Deterministic orthonormal basis of the orthogonal complement of v.
-
-    Returns an (n, n-1) matrix whose columns are orthonormal and orthogonal
-    to the unit vector v.  Pure function of v alone.
-    """
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    n = v.shape[0]
-    comp = np.eye(n, dtype=complex)[None, :, :]
-    return _householder_complement(comp.copy(), v[None, :])[0]
-
-
 def embed_orthonormal_vectors(angle_blocks, n: int, l: int) -> np.ndarray:
     """Map l angle blocks (each 2(n-l) reals) to l pairwise-orthogonal unit
     vectors in C^n, shape (l, n)."""
     blocks = np.asarray(angle_blocks, dtype=float).reshape(l, params_per_vector(n, l))
     components = _angles_to_components(blocks)
     return _embed_batch(components[None, :, :], n, l)[0]
-
-
-def embed_orthonormal_triple(angles18) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The n=6, l=3 embedding: 18 angles to three orthonormal vectors in C^6."""
-    flat = np.asarray(angles18, dtype=float).reshape(-1)
-    if flat.shape != (18,):
-        raise ValueError(f"expected 18 angles, got {flat.shape[0]}")
-    vs = embed_orthonormal_vectors(flat, 6, 3)
-    return vs[0], vs[1], vs[2]
 
 
 def projector_from_vectors(*vectors) -> np.ndarray:
@@ -266,20 +242,3 @@ def quorum_from_chart(chart, n: int = 6, l: int = 3) -> Quorum:
     p = 0.5 * (p + p.conj().transpose(0, 2, 1))
     projectors = np.concatenate([_fixed_first_cached(n, l)[None, :, :], p], axis=0)
     return Quorum(projectors=projectors, n=n, l=l)
-
-
-def validate_projector(p: np.ndarray, l: int | None = None, tol: float = TOL_COMPOSED) -> None:
-    """Check Hermiticity, idempotency, and trace of a candidate projector.
-
-    Raises ValueError on the first violated invariant.
-    """
-    p = np.asarray(p, dtype=complex)
-    herm = np.linalg.norm(p - p.conj().T)
-    if herm > tol:
-        raise ValueError(f"not Hermitian: ||P - P^dag||_F = {herm:.3e}")
-    idem = np.linalg.norm(p @ p - p)
-    if idem > tol:
-        raise ValueError(f"not idempotent: ||P^2 - P||_F = {idem:.3e}")
-    tr = np.trace(p).real
-    if l is not None and abs(tr - l) > tol:
-        raise ValueError(f"trace {tr} differs from rank {l}")

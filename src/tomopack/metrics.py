@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hilbert import Quorum, traceless_part
+from .hilbert import Quorum
 
 __all__ = [
     "QualityResult",
@@ -22,15 +22,14 @@ __all__ = [
     "OrthoplexReport",
     "gram_matrix",
     "quality_from_gram",
-    "quality_from_det",
-    "quality_measure",
     "upper_bound",
-    "non_orthogonality",
+    "non_orthogonality_from_gram",
     "chordal_distance_sq",
     "orthoplex_report",
     "extend_to_maximal",
     "repetition_overhead",
     "worst_pairs",
+    "report_from_gram",
     "evaluate_quorum",
 ]
 
@@ -117,17 +116,6 @@ def quality_from_gram(gram: np.ndarray) -> QualityResult:
     return QualityResult(quality=quality, log_quality=log_quality, degenerate=degenerate)
 
 
-def quality_from_det(gram: np.ndarray) -> float:
-    """Direct sqrt(det G) path, kept for cross-validation at small m."""
-    det = float(np.linalg.det(gram))
-    return float(np.sqrt(max(det, 0.0)))
-
-
-def quality_measure(q: Quorum) -> QualityResult:
-    """Quality of a quorum: sqrt of the Gram determinant, computed in log space."""
-    return quality_from_gram(gram_matrix(q))
-
-
 def upper_bound(n: int, l: int) -> float:
     """Analytic ceiling (l(1 - l/n))^((n^2-1)/2), attained only when all
     distinct traceless parts are orthogonal."""
@@ -136,16 +124,11 @@ def upper_bound(n: int, l: int) -> float:
     return float((l * (1.0 - l / n)) ** ((n * n - 1) / 2.0))
 
 
-def non_orthogonality(q: Quorum) -> tuple[float, float]:
+def non_orthogonality_from_gram(gram: np.ndarray) -> tuple[float, float]:
     """(L, ln L) where L sums |Tr(Q_i Q_j)| over ordered pairs i != j.
 
     Both (i, j) and (j, i) are counted.  ln L is -inf when L is exactly zero.
     """
-    gram = gram_matrix(q)
-    return non_orthogonality_from_gram(gram)
-
-
-def non_orthogonality_from_gram(gram: np.ndarray) -> tuple[float, float]:
     a = np.abs(gram)
     l_sum = float(a.sum() - np.trace(a))
     ln_l = float(np.log(l_sum)) if l_sum > 0.0 else float("-inf")
@@ -166,10 +149,6 @@ def chordal_distance_sq(p_i: np.ndarray, p_j: np.ndarray) -> float:
     return float(np.clip(val, 0.0, l_i))
 
 
-def _pairwise_d2(projectors: np.ndarray, l: float) -> np.ndarray:
-    return l - _pairwise_hs(projectors)
-
-
 def orthoplex_report(projectors, tol: float = 1e-6) -> OrthoplexReport:
     """Summarize pairwise chordal distances of a projector set against the
     orthoplex value l(n-l)/n."""
@@ -178,7 +157,7 @@ def orthoplex_report(projectors, tol: float = 1e-6) -> OrthoplexReport:
         raise ValueError("need at least two projectors of common shape")
     n = p.shape[-1]
     l = float(np.round(np.trace(p[0]).real))
-    d2 = _pairwise_d2(p, l)
+    d2 = l - _pairwise_hs(p)
     iu = np.triu_indices(p.shape[0], k=1)
     vals = d2[iu]
     bound = l * (n - l) / n
@@ -227,17 +206,19 @@ def worst_pairs(gram: np.ndarray, count: int = 10) -> list[tuple[int, int, float
     return [(int(iu[0][k]), int(iu[1][k]), float(vals[k])) for k in order]
 
 
-def evaluate_quorum(q: Quorum) -> MetricsReport:
-    """All scalar figures of merit for one quorum, in a single report."""
-    gram = gram_matrix(q)
+def report_from_gram(gram: np.ndarray, n: int, l: int) -> MetricsReport:
+    """All scalar figures of merit of a quorum, from its Gram matrix alone.
+
+    Chordal distances come from the off-diagonal entries:
+    d^2_ij = l - Tr(P_i P_j) = l(n-l)/n - G_ij.
+    """
     qual = quality_from_gram(gram)
     l_sum, ln_l = non_orthogonality_from_gram(gram)
-    ub = upper_bound(q.n, q.l)
+    ub = upper_bound(n, l)
     rel_dev = (ub - qual.quality) / ub
-    d2 = _pairwise_d2(q.projectors, q.l)
-    iu = np.triu_indices(len(q), k=1)
+    d2 = l * (n - l) / n - gram[np.triu_indices(gram.shape[0], k=1)]
     dev = min(max(rel_dev, 0.0), 1.0)
-    overhead = float("inf") if dev >= 1.0 else repetition_overhead(dev, q.n)
+    overhead = float("inf") if dev >= 1.0 else repetition_overhead(dev, n)
     return MetricsReport(
         quality=qual.quality,
         log_quality=qual.log_quality,
@@ -245,8 +226,13 @@ def evaluate_quorum(q: Quorum) -> MetricsReport:
         relative_deviation=rel_dev,
         non_orthogonality_l=l_sum,
         ln_l=ln_l,
-        min_chordal_sq=float(d2[iu].min()),
-        max_chordal_sq=float(d2[iu].max()),
+        min_chordal_sq=float(d2.min()),
+        max_chordal_sq=float(d2.max()),
         repetition_overhead=overhead,
         degenerate=qual.degenerate,
     )
+
+
+def evaluate_quorum(q: Quorum) -> MetricsReport:
+    """All scalar figures of merit for one quorum, in a single report."""
+    return report_from_gram(gram_matrix(q), q.n, q.l)

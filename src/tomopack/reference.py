@@ -14,7 +14,6 @@ from importlib import resources
 import numpy as np
 
 from .hilbert import Quorum, projector_from_vectors
-from .metrics import MaximalSet, extend_to_maximal, orthoplex_report
 
 __all__ = [
     "MubFamily",
@@ -22,8 +21,6 @@ __all__ = [
     "verify_mub_family",
     "rank1_optimal_quorum_n2",
     "halfdim_optimal_quorum_n4",
-    "extend_and_verify_n4",
-    "chart_n2_oracle",
     "bundled_chart_n6",
     "BUNDLED_CHART_N6",
 ]
@@ -95,21 +92,27 @@ def mub_family(n: int) -> MubFamily:
     return fam
 
 
-def verify_mub_family(fam: MubFamily, tol: float = 1e-12) -> None:
-    """Check orthonormality within bases and |overlap|^2 = 1/n across bases."""
+def verify_mub_family(fam: MubFamily, tol: float = 1e-12) -> float:
+    """Check orthonormality within bases and |overlap|^2 = 1/n across bases.
+
+    Returns the largest cross-basis deviation of |overlap|^2 from 1/n.
+    """
     n = fam.n
     for idx, b in enumerate(fam.bases):
         dev = np.max(np.abs(b.conj().T @ b - np.eye(n)))
         if dev > tol:
             raise ValueError(f"basis {idx} is not orthonormal (deviation {dev:.3e})")
+    worst = 0.0
     for a in range(len(fam.bases)):
         for b in range(a + 1, len(fam.bases)):
             ov = np.abs(fam.bases[a].conj().T @ fam.bases[b]) ** 2
-            dev = np.max(np.abs(ov - 1.0 / n))
+            dev = float(np.max(np.abs(ov - 1.0 / n)))
             if dev > tol:
                 raise ValueError(
                     f"bases {a} and {b} are not unbiased (deviation {dev:.3e})"
                 )
+            worst = max(worst, dev)
+    return worst
 
 
 def rank1_optimal_quorum_n2() -> Quorum:
@@ -151,37 +154,6 @@ def _max_offdiag_gram(q: Quorum) -> float:
 
     g = gram_matrix(q)
     return float(np.max(np.abs(g - np.diag(np.diag(g)))))
-
-
-def extend_and_verify_n4(tol: float = 1e-10):
-    """Complement-extend the n=4 oracle to 30 projectors and verify the packing.
-
-    Returns (MaximalSet, OrthoplexReport).  Every non-complementary pair sits
-    at d^2 = 1 and complementary pairs at d^2 = 2.
-    """
-    q = halfdim_optimal_quorum_n4()
-    maximal = extend_to_maximal(q)
-    report = orthoplex_report(maximal.projectors, tol=tol)
-    m = len(q)
-    comp_d2 = np.array(
-        [
-            2.0 - np.einsum("ab,ba->", maximal.projectors[j], maximal.projectors[j + m]).real
-            for j in range(m)
-        ]
-    )
-    if np.max(np.abs(comp_d2 - 2.0)) > 1e-12:
-        raise AssertionError("complementary pairs are not at chordal distance 2")
-    return maximal, report
-
-
-def chart_n2_oracle() -> np.ndarray:
-    """The 4-angle chart whose quorum is exactly the n=2 oracle.
-
-    Each free vector is (cos t, sin t e^{ip}); |+> is (t, p) = (pi/4, 0) and
-    |+i> is (pi/4, pi/2).  The fixed first projector |0><0| matches the
-    oracle's first element.
-    """
-    return np.array([np.pi / 4, 0.0, np.pi / 4, np.pi / 2])
 
 
 def bundled_chart_n6() -> np.ndarray:

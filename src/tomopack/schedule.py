@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,7 +28,6 @@ __all__ = [
     "NEG_LOG_QUALITY",
     "LOG_L",
     "LOG_L_SENTINEL",
-    "ObjectiveSpec",
     "ScheduleConfig",
     "TraceRecord",
     "AlternatingResult",
@@ -43,18 +42,6 @@ NEG_LOG_QUALITY = "neg_log_quality"
 LOG_L = "log_l"
 # ln L is -inf at exact orthogonality; line searches need a finite stand-in.
 LOG_L_SENTINEL = -1e12
-
-
-@dataclass(frozen=True)
-class ObjectiveSpec:
-    """Which scalar objective to minimize, over charts of which quorum size."""
-
-    kind: str  # NEG_LOG_QUALITY or LOG_L
-    n: int
-    l: int
-
-    def build(self):
-        return make_objective(self.kind, self.n, self.l)
 
 
 @dataclass(frozen=True)
@@ -110,8 +97,12 @@ class AlternatingResult:
 @dataclass
 class MultiRestartResult:
     best: AlternatingResult
-    runs: list = field(default_factory=list)      # (seed, quality) per restart
     results: list = field(default_factory=list)   # full AlternatingResult per restart
+
+    @property
+    def runs(self) -> list:
+        """(seed, quality) per restart."""
+        return [(r.seed, r.report.quality) for r in self.results]
 
 
 def make_objective(kind: str, n: int, l: int):
@@ -178,13 +169,7 @@ def alternating_optimize(
     for phase in range(1, sched.total_phases + 1):
         kind = NEG_LOG_QUALITY if phase % 2 == 1 else LOG_L
         objective = objective_factory(kind, n, l)
-        phase_cfg = PowellConfig(
-            max_iterations=sched.sweeps_for(kind),
-            f_tol=cfg.f_tol,
-            x_tol=cfg.x_tol,
-            bracket_growth=cfg.bracket_growth,
-            max_line_evals=cfg.max_line_evals,
-        )
+        phase_cfg = replace(cfg, max_iterations=sched.sweeps_for(kind))
 
         def record(xk, fval, nfev, sweep):
             nonlocal best_log_quality, best_chart
@@ -254,5 +239,4 @@ def multi_restart(
     for r in results[1:]:
         if r.report.log_quality > best.report.log_quality:
             best = r
-    runs = [(r.seed, r.report.quality) for r in results]
-    return MultiRestartResult(best=best, runs=runs, results=results)
+    return MultiRestartResult(best=best, results=results)

@@ -10,11 +10,9 @@ import numpy as np
 from tomopack.hilbert import quorum_from_chart, traceless_part
 from tomopack.metrics import (
     chordal_distance_sq,
+    evaluate_quorum,
     gram_matrix,
-    non_orthogonality,
-    quality_from_det,
     quality_from_gram,
-    quality_measure,
     repetition_overhead,
     upper_bound,
 )
@@ -27,6 +25,8 @@ from tomopack.schedule import (
     random_chart,
 )
 from tomopack.hilbert import Quorum
+
+from oracles import quality_from_det
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -47,8 +47,8 @@ def test_bound_attainment_n2():
 
 def test_bound_attainment_n4_oracle():
     quorum = halfdim_optimal_quorum_n4()
-    res = quality_measure(quorum)
-    l_sum, _ = non_orthogonality(quorum)
+    res = evaluate_quorum(quorum)
+    l_sum = res.non_orthogonality_l
     ok = abs(res.quality - 1.0) <= 1e-10 and l_sum <= 1e-10
     _report(
         "analytic bound n=4 (oracle)",
@@ -145,8 +145,8 @@ def test_property_suites():
         z = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
         u, _ = np.linalg.qr(z)
         rotated = np.einsum("ab,mbc,dc->mad", u, quorum.projectors, u.conj())
-        lq0 = quality_measure(quorum).log_quality
-        lq1 = quality_measure(Quorum(projectors=rotated, n=6, l=3)).log_quality
+        lq0 = evaluate_quorum(quorum).log_quality
+        lq1 = evaluate_quorum(Quorum(projectors=rotated, n=6, l=3)).log_quality
         worst_rel = max(worst_rel, abs(lq1 - lq0) / abs(lq0))
     assert worst_rel <= 1e-8
 

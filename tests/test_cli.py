@@ -10,6 +10,8 @@ from tomopack.fileio import read_chart, write_chart
 from tomopack.hilbert import chart_length, quorum_from_chart
 from tomopack.metrics import upper_bound
 
+from oracles import CHART_N2_ORACLE
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -164,10 +166,8 @@ class TestEvaluate:
         assert code == 2
 
     def test_n2_oracle_chart_deviation(self, capsys, tmp_path):
-        from tomopack.reference import chart_n2_oracle
-
         path = tmp_path / "oracle.json"
-        write_chart(path, chart_n2_oracle(), 2, 1)
+        write_chart(path, CHART_N2_ORACLE, 2, 1)
         code, out, _ = run_cli(capsys, "evaluate", str(path))
         assert code == 0
         doc = json.loads(out)
@@ -261,3 +261,43 @@ class TestReference:
         target = tmp_path / "nodir" / "fam.json"
         code, _out, err = run_cli(capsys, "reference", "mub2", "--out", str(target))
         assert code == 3
+
+
+class TestOneGramPerReport:
+    """Each reported quorum gets one Gram matrix, shared by its figures and
+    its worst-pair list."""
+
+    @pytest.fixture
+    def gram_calls(self, monkeypatch):
+        import tomopack.cli
+        import tomopack.metrics
+
+        calls = []
+        original = tomopack.metrics.gram_matrix
+
+        def counted(q):
+            calls.append((q.n, q.l))
+            return original(q)
+
+        monkeypatch.setattr(tomopack.metrics, "gram_matrix", counted)
+        monkeypatch.setattr(tomopack.cli, "gram_matrix", counted)
+        return calls
+
+    def test_evaluate_builds_gram_once(self, capsys, tmp_path, gram_calls):
+        path = tmp_path / "chart.json"
+        write_chart(path, np.random.default_rng(3).uniform(0, 2 * np.pi, 612), 6, 3)
+        code, _out, _ = run_cli(capsys, "evaluate", str(path))
+        assert code == 0
+        assert len(gram_calls) == 1
+
+    def test_reference_n2_builds_gram_once(self, capsys, gram_calls):
+        code, _out, _ = run_cli(capsys, "reference", "n2-rank1")
+        assert code == 0
+        assert len(gram_calls) == 1
+
+    def test_reference_n4_builds_gram_once_after_construction(self, capsys, gram_calls):
+        code, _out, _ = run_cli(capsys, "reference", "n4-rank2")
+        assert code == 0
+        # one build is the construction's own orthogonality check inside
+        # halfdim_optimal_quorum_n4, one is the report's
+        assert len(gram_calls) == 2

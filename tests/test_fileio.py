@@ -84,8 +84,9 @@ class TestTraceCsv:
         path = tmp_path / "trace.csv"
         write_trace_csv(path, trace)
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == "phase,iteration,objective_kind,objective,quality,ln_L,elapsed_s"
+        assert lines[0] == "phase,iteration,objective_kind,objective,quality,ln_L,evaluations,elapsed_s"
         assert len(lines) == 4
+        assert [int(line.split(",")[6]) for line in lines[1:]] == [100, 220, 320]
         first = lines[1].split(",")
         assert first[0] == "1" and first[2] == "neg_log_quality"
         assert float(first[3]) == -1.5

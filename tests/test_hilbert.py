@@ -3,18 +3,31 @@ import pytest
 
 from tomopack.hilbert import (
     Quorum,
+    _householder_complement,
     chart_length,
-    complement_basis,
-    embed_orthonormal_triple,
     embed_orthonormal_vectors,
     fixed_first_projector,
     params_per_vector,
     projector_from_vectors,
     quorum_from_chart,
     traceless_part,
-    validate_projector,
     vector_from_angles,
 )
+
+
+def validate_projector(p, l, tol):
+    """Check Hermiticity, idempotency, and trace of a candidate projector."""
+    p = np.asarray(p, dtype=complex)
+    assert np.linalg.norm(p - p.conj().T) <= tol, "not Hermitian"
+    assert np.linalg.norm(p @ p - p) <= tol, "not idempotent"
+    assert abs(np.trace(p).real - l) <= tol, "trace differs from rank"
+
+
+def complement_basis(v):
+    """(n, n-1) orthonormal basis of the orthogonal complement of the unit vector v."""
+    v = np.asarray(v, dtype=complex).reshape(-1)
+    comp = np.eye(v.shape[0], dtype=complex)[None, :, :]
+    return _householder_complement(comp, v[None, :])[0]
 
 
 class TestVectorFromAngles:
@@ -66,7 +79,7 @@ class TestVectorFromAngles:
 
 class TestEmbedding:
     def test_all_zero_angles_select_basis_vectors(self):
-        v1, v2, v3 = embed_orthonormal_triple(np.zeros(18))
+        v1, v2, v3 = embed_orthonormal_vectors(np.zeros(18), 6, 3)
         eye = np.eye(6)
         assert np.allclose(v1, eye[0], atol=1e-14)
         assert np.allclose(v2, eye[1], atol=1e-14)
@@ -99,7 +112,7 @@ class TestEmbedding:
 
     def test_wrong_block_count(self):
         with pytest.raises(ValueError):
-            embed_orthonormal_triple(np.zeros(17))
+            embed_orthonormal_vectors(np.zeros(17), 6, 3)
 
 
 class TestComplementBasis:

@@ -14,17 +14,17 @@ from tomopack.metrics import (
     evaluate_quorum,
     extend_to_maximal,
     gram_matrix,
-    non_orthogonality,
     non_orthogonality_from_gram,
     orthoplex_report,
-    quality_from_det,
     quality_from_gram,
-    quality_measure,
     repetition_overhead,
+    report_from_gram,
     upper_bound,
     worst_pairs,
 )
-from tomopack.reference import halfdim_optimal_quorum_n4, rank1_optimal_quorum_n2
+from tomopack.reference import bundled_chart_n6, halfdim_optimal_quorum_n4, rank1_optimal_quorum_n2
+
+from oracles import quality_from_det
 
 
 def _mub_trio_quorum():
@@ -65,7 +65,7 @@ class TestGramMatrix:
 
 class TestQualityMeasure:
     def test_mub_trio_value(self):
-        res = quality_measure(_mub_trio_quorum())
+        res = evaluate_quorum(_mub_trio_quorum())
         assert abs(res.quality - 0.5**1.5) < 1e-12
         assert not res.degenerate
 
@@ -73,7 +73,7 @@ class TestQualityMeasure:
         quorum = _mub_trio_quorum()
         projectors = quorum.projectors.copy()
         projectors[2] = projectors[1]
-        res = quality_measure(Quorum(projectors=projectors, n=2, l=1))
+        res = evaluate_quorum(Quorum(projectors=projectors, n=2, l=1))
         assert res.quality == 0.0
         assert res.degenerate
 
@@ -111,12 +111,12 @@ class TestUpperBound:
         rng = np.random.default_rng(100)
         for _ in range(50):
             quorum = quorum_from_chart(rng.uniform(0, 2 * np.pi, 612))
-            assert quality_measure(quorum).quality <= ub * (1 + 1e-9)
+            assert evaluate_quorum(quorum).quality <= ub * (1 + 1e-9)
 
 
 class TestNonOrthogonality:
     def test_mub_trio_is_orthogonal(self):
-        l_sum, _ = non_orthogonality(_mub_trio_quorum())
+        l_sum = evaluate_quorum(_mub_trio_quorum()).non_orthogonality_l
         assert l_sum <= 1e-12
 
     def test_ordered_pair_convention_double_counts(self):
@@ -133,13 +133,13 @@ class TestNonOrthogonality:
         # constructed both ways: oracle hits the bound with L ~ 0; a generic
         # quorum has L > 0 and quality strictly below the bound
         quorum = rank1_optimal_quorum_n2()
-        l_sum, _ = non_orthogonality(quorum)
+        l_sum = evaluate_quorum(quorum).non_orthogonality_l
         assert l_sum <= 1e-10
-        assert abs(quality_measure(quorum).quality - upper_bound(2, 1)) <= 1e-8
+        assert abs(evaluate_quorum(quorum).quality - upper_bound(2, 1)) <= 1e-8
         generic = _random_quorum(seed=3)
-        l_gen, _ = non_orthogonality(generic)
+        l_gen = evaluate_quorum(generic).non_orthogonality_l
         assert l_gen > 1e-3
-        assert quality_measure(generic).quality < upper_bound(6, 3) * (1 - 1e-6)
+        assert evaluate_quorum(generic).quality < upper_bound(6, 3) * (1 - 1e-6)
 
 
 class TestChordalDistance:
@@ -244,8 +244,8 @@ class TestUnitaryInvariance:
             z = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
             u, _ = np.linalg.qr(z)
             rotated = np.einsum("ab,mbc,dc->mad", u, quorum.projectors, u.conj())
-            res0 = quality_measure(quorum)
-            res1 = quality_measure(Quorum(projectors=rotated, n=6, l=3))
+            res0 = evaluate_quorum(quorum)
+            res1 = evaluate_quorum(Quorum(projectors=rotated, n=6, l=3))
             assert abs(res1.log_quality - res0.log_quality) <= 1e-8 * abs(res0.log_quality)
 
 
@@ -274,3 +274,16 @@ class TestReportHelpers:
         assert report.degenerate
         assert report.quality == 0.0
         assert report.repetition_overhead == float("inf")
+
+    def test_chordal_extremes_from_gram_match_pairwise_distances(self):
+        quorums = [quorum_from_chart(bundled_chart_n6(), 6, 3), halfdim_optimal_quorum_n4()]
+        for quorum in quorums:
+            report = report_from_gram(gram_matrix(quorum), quorum.n, quorum.l)
+            p = quorum.projectors
+            d2 = [
+                chordal_distance_sq(p[i], p[j])
+                for i in range(len(quorum))
+                for j in range(i + 1, len(quorum))
+            ]
+            assert abs(report.min_chordal_sq - min(d2)) <= 1e-12
+            assert abs(report.max_chordal_sq - max(d2)) <= 1e-12

@@ -3,16 +3,14 @@ import pytest
 
 from tomopack.metrics import (
     chordal_distance_sq,
+    evaluate_quorum,
+    extend_to_maximal,
     gram_matrix,
-    non_orthogonality,
     orthoplex_report,
-    quality_measure,
     upper_bound,
 )
 from tomopack.powell import PowellConfig
 from tomopack.reference import (
-    chart_n2_oracle,
-    extend_and_verify_n4,
     halfdim_optimal_quorum_n4,
     mub_family,
     rank1_optimal_quorum_n2,
@@ -20,6 +18,28 @@ from tomopack.reference import (
 )
 from tomopack.schedule import ScheduleConfig, alternating_optimize
 from tomopack.hilbert import quorum_from_chart
+
+from oracles import CHART_N2_ORACLE
+
+
+def extend_and_verify_n4(tol=1e-10):
+    """Complement-extend the n=4 oracle to 30 projectors and verify the packing.
+
+    Returns (MaximalSet, OrthoplexReport).  Every non-complementary pair sits
+    at d^2 = 1 and complementary pairs at d^2 = 2.
+    """
+    q = halfdim_optimal_quorum_n4()
+    maximal = extend_to_maximal(q)
+    report = orthoplex_report(maximal.projectors, tol=tol)
+    m = len(q)
+    comp_d2 = np.array(
+        [
+            2.0 - np.einsum("ab,ba->", maximal.projectors[j], maximal.projectors[j + m]).real
+            for j in range(m)
+        ]
+    )
+    assert np.max(np.abs(comp_d2 - 2.0)) <= 1e-12, "complementary pairs are not at distance 2"
+    return maximal, report
 
 
 class TestMubFamilies:
@@ -36,6 +56,15 @@ class TestMubFamilies:
                 ov = np.abs(fam.bases[a].conj().T @ fam.bases[b]) ** 2
                 assert np.max(np.abs(ov - 1.0 / 3.0)) <= 1e-12
 
+    def test_verify_returns_largest_cross_deviation(self):
+        fam = mub_family(4)
+        worst = max(
+            np.max(np.abs(np.abs(fam.bases[a].conj().T @ fam.bases[b]) ** 2 - 0.25))
+            for a in range(5)
+            for b in range(a + 1, 5)
+        )
+        assert verify_mub_family(fam) == worst
+
     def test_unsupported_dimension(self):
         with pytest.raises(ValueError):
             mub_family(5)
@@ -51,13 +80,13 @@ class TestMubFamilies:
 class TestRank1OracleN2:
     def test_quality_at_bound(self):
         quorum = rank1_optimal_quorum_n2()
-        res = quality_measure(quorum)
+        res = evaluate_quorum(quorum)
         ub = upper_bound(2, 1)
         assert abs(res.quality - ub) <= 1e-10 * ub
         assert abs(res.quality - 0.3535533905932738) < 1e-12
 
     def test_zero_non_orthogonality(self):
-        l_sum, _ = non_orthogonality(rank1_optimal_quorum_n2())
+        l_sum = evaluate_quorum(rank1_optimal_quorum_n2()).non_orthogonality_l
         assert l_sum <= 1e-10
 
     def test_gram_is_half_identity(self):
@@ -69,10 +98,9 @@ class TestHalfdimOracleN4:
     def test_count_and_quality(self):
         quorum = halfdim_optimal_quorum_n4()
         assert len(quorum) == 15
-        res = quality_measure(quorum)
+        res = evaluate_quorum(quorum)
         assert abs(res.quality - 1.0) <= 1e-10
-        l_sum, _ = non_orthogonality(quorum)
-        assert l_sum <= 1e-10
+        assert res.non_orthogonality_l <= 1e-10
 
     def test_same_basis_pair_trace(self):
         # shared first vector forces Tr(P_a P_b) = 1 within a basis
@@ -117,13 +145,13 @@ class TestMaximalExtensionN4:
 
 class TestOracleChart:
     def test_chart_reproduces_oracle(self):
-        quorum = quorum_from_chart(chart_n2_oracle(), 2, 1)
-        res = quality_measure(quorum)
+        quorum = quorum_from_chart(CHART_N2_ORACLE, 2, 1)
+        res = evaluate_quorum(quorum)
         assert abs(res.quality - upper_bound(2, 1)) <= 1e-12
 
     def test_optimizer_returns_to_bound_after_noise(self):
         rng = np.random.default_rng(123)
-        noisy = chart_n2_oracle() + rng.normal(scale=1e-2, size=4)
+        noisy = CHART_N2_ORACLE + rng.normal(scale=1e-2, size=4)
         res = alternating_optimize(
             noisy,
             2,

@@ -2,19 +2,20 @@ import numpy as np
 import pytest
 
 from tomopack.hilbert import quorum_from_chart
-from tomopack.metrics import quality_measure, upper_bound
+from tomopack.metrics import evaluate_quorum, upper_bound
 from tomopack.powell import PowellConfig, powell_minimize
 from tomopack.schedule import (
     LOG_L,
     LOG_L_SENTINEL,
     NEG_LOG_QUALITY,
-    ObjectiveSpec,
     ScheduleConfig,
     alternating_optimize,
     make_objective,
     multi_restart,
     random_chart,
 )
+
+from oracles import CHART_N2_ORACLE
 
 FAST = PowellConfig(max_iterations=200, f_tol=1e-12, x_tol=1e-10)
 
@@ -24,14 +25,12 @@ class TestObjectives:
         rng = np.random.default_rng(0)
         chart = random_chart(rng, 2, 1)
         objective = make_objective(NEG_LOG_QUALITY, 2, 1)
-        direct = quality_measure(quorum_from_chart(chart, 2, 1)).log_quality
+        direct = evaluate_quorum(quorum_from_chart(chart, 2, 1)).log_quality
         assert objective(chart) == -direct
 
     def test_log_l_sentinel_on_exact_orthogonality(self):
-        from tomopack.reference import chart_n2_oracle
-
         objective = make_objective(LOG_L, 2, 1)
-        value = objective(chart_n2_oracle())
+        value = objective(CHART_N2_ORACLE)
         # the oracle chart has L at rounding level; the sentinel appears only
         # if the sum is exactly zero, either way the value must be finite
         assert np.isfinite(value)
@@ -40,11 +39,6 @@ class TestObjectives:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             make_objective("bogus", 2, 1)
-
-    def test_objective_spec_builds_same_function(self):
-        chart = random_chart(np.random.default_rng(1), 2, 1)
-        spec_fn = ObjectiveSpec(NEG_LOG_QUALITY, 2, 1).build()
-        assert spec_fn(chart) == make_objective(NEG_LOG_QUALITY, 2, 1)(chart)
 
     def test_finite_difference_richardson(self):
         # no gradients exist anywhere; the objective should still behave like
@@ -154,7 +148,7 @@ class TestDim6Regression:
         improved = 0
         for seed in range(20):
             chart0 = random_chart(np.random.default_rng(seed), 6, 3)
-            before = quality_measure(quorum_from_chart(chart0, 6, 3)).log_quality
+            before = evaluate_quorum(quorum_from_chart(chart0, 6, 3)).log_quality
             run = alternating_optimize(chart0, 6, 3, sched, cfg)
             if run.report.log_quality > before:
                 improved += 1
