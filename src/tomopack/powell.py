@@ -1,5 +1,6 @@
 """Derivative-free minimization: Powell's direction-set method (1964)
-with a bracketing line search refined by golden-section/parabolic steps.
+with a bracketing line search refined by Brent's (1973) golden-section/
+parabolic steps.
 
 No gradients anywhere; the only structure assumed of the objective is that
 it is finite at the start point.  Everything is deterministic.
@@ -23,6 +24,10 @@ __all__ = [
 GOLDEN_RATIO = (1.0 + np.sqrt(5.0)) / 2.0
 _CGOLD = 2.0 - GOLDEN_RATIO  # golden-section fraction 0.381966...
 _TINY = 1e-20
+# A direction's next line search starts at _STEP_GROWTH times its last
+# accepted step, kept within [_STEP_FLOOR, 1] rad.
+_STEP_GROWTH = 2.0
+_STEP_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -31,7 +36,8 @@ class PowellConfig:
 
     max_iterations counts full direction sweeps.  f_tol is the relative
     objective decrease over a sweep below which the run stops; x_tol is the
-    line-search parameter tolerance.
+    line-search parameter tolerance: refinement stops once the minimum is
+    located within x_tol·|t| + x_tol on the line parameter t.
     """
 
     max_iterations: int = 200
@@ -82,9 +88,13 @@ def line_minimize(
 
     First brackets a minimum by geometric expansion downhill from (0, t0)
     (searching toward negative t if f(t0) > f(0)), then refines inside the
-    bracket with Brent-style parabolic/golden steps down to x_tol.  If no
-    bracket is found within max_evals the best sampled point is returned
-    with ``bracketed=False``.  The result never lies above f(0).
+    bracket with Brent's parabolic/golden steps down to x_tol·|t| + x_tol.
+    The refinement starts from all three bracket points (the better end
+    point as Brent's second-best), so its first step can be the parabola
+    through them rather than a golden section.  If no bracket is found
+    within max_evals the best sampled point is returned with
+    ``bracketed=False``.  The result never lies above f(0).  ``f_origin``,
+    when given, is f(0), which is then not evaluated again.
     """
     if t0 == 0.0:
         raise ValueError("t0 must be nonzero")
@@ -115,10 +125,10 @@ def line_minimize(
 
     lo, hi = (a, c) if a < c else (c, a)
     x, fx = b, fb
-    # Brent refinement: parabolic step when trustworthy, golden otherwise.
-    w = v = x
-    fw = fv = fx
-    d = e = 0.0
+    # Brent refinement: parabolic step when trustworthy, golden otherwise;
+    # the bracket end points are the first parabola's other two points.
+    (w, fw), (v, fv) = ((a, fa), (c, fc)) if fa <= fc else ((c, fc), (a, fa))
+    d = e = hi - lo
     while evals < max_evals:
         m = 0.5 * (lo + hi)
         tol1 = x_tol * abs(x) + x_tol
@@ -189,6 +199,12 @@ def powell_minimize(f, x0, cfg: PowellConfig = PowellConfig(), callback=None) ->
     degenerates.  Stops when the relative decrease over a full sweep falls
     below f_tol or after max_iterations sweeps.
 
+    Each direction keeps a signed start step for its line search: 1.0 at
+    first, then after every line that moved x by t, twice |t| clipped to
+    [1e-6, 1] with the sign of t.  A new direction starts at 1.0, the one
+    moved into the replaced slot keeps its step, and a reset to the axes
+    resets every step to 1.0.
+
     ``callback(x, fval, nfev, sweep)`` runs after every sweep.
     """
     x = np.array(x0, dtype=float).reshape(-1).copy()
@@ -205,6 +221,7 @@ def powell_minimize(f, x0, cfg: PowellConfig = PowellConfig(), callback=None) ->
         raise ValueError(f"objective is not finite at x0 ({f_cur})")
 
     directions = np.eye(n)
+    steps = np.ones(n)  # signed start step of each direction's line search
     history: list[float] = []
     converged = False
     nit = 0
@@ -219,7 +236,7 @@ def powell_minimize(f, x0, cfg: PowellConfig = PowellConfig(), callback=None) ->
             f_prev = f_cur
             line = line_minimize(
                 lambda t: ff(x + t * u),
-                t0=1.0,
+                t0=steps[i],
                 x_tol=cfg.x_tol,
                 growth=cfg.bracket_growth,
                 max_evals=cfg.max_line_evals,
@@ -228,6 +245,8 @@ def powell_minimize(f, x0, cfg: PowellConfig = PowellConfig(), callback=None) ->
             if line.fval < f_cur and line.t != 0.0:
                 x = x + line.t * u
                 f_cur = line.fval
+                step = np.clip(_STEP_GROWTH * abs(line.t), _STEP_FLOOR, 1.0)
+                steps[i] = np.copysign(step, line.t)
             if f_prev - f_cur > delta:
                 delta = f_prev - f_cur
                 big = i
@@ -261,6 +280,9 @@ def powell_minimize(f, x0, cfg: PowellConfig = PowellConfig(), callback=None) ->
                 if norm > 0.0:
                     directions[big] = directions[n - 1]
                     directions[n - 1] = new_dir / norm
+                    steps[big] = steps[n - 1]
+                    steps[n - 1] = 1.0
                     if _directions_degenerate(directions):
                         directions = np.eye(n)
+                        steps[:] = 1.0
     return PowellResult(x=x, fun=f_cur, nit=nit, nfev=nfev, converged=converged, history=history)

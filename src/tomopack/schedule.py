@@ -142,6 +142,20 @@ def _chart_metrics(chart, n, l):
     return qual, ln_l
 
 
+class _LowestSeen:
+    """An objective that remembers the chart of its lowest value."""
+
+    def __init__(self, objective):
+        self.objective = objective
+        self.value, self.chart = np.inf, None
+
+    def __call__(self, chart):
+        value = self.objective(chart)
+        if value < self.value:
+            self.value, self.chart = value, np.array(chart, dtype=float, copy=True)
+        return value
+
+
 def alternating_optimize(
     chart0,
     n: int = 6,
@@ -154,29 +168,39 @@ def alternating_optimize(
 
     Phases alternate beginning with the -log(quality) objective.  Returns the
     best-ever chart ranked by quality, with its full metrics report and a
-    per-sweep trace.  ``objective_factory(kind, n, l)`` exists so tests can
-    substitute a sanity objective.
+    per-sweep trace.  Candidates are the chart at the end of every sweep and,
+    per volume phase, the chart of lowest objective value that Powell
+    evaluated (it may have evaluated a better point than it moved to).
+    ``objective_factory(kind, n, l)`` exists so tests can substitute a
+    sanity objective; candidates are still ranked by quality.
     """
     x = np.asarray(chart0, dtype=float).reshape(-1).copy()
     t_start = time.perf_counter()
     trace: list[TraceRecord] = []
     nfev_total = 0
 
-    best_qual, _ = _chart_metrics(x, n, l)
-    best_chart = x.copy()
-    best_log_quality = best_qual.log_quality
+    best_chart, best_log_quality = x.copy(), -np.inf
+
+    def consider(xk):
+        """Metrics of xk; keeps xk as the best chart if its quality is the highest yet."""
+        nonlocal best_log_quality, best_chart
+        qual, ln_l = _chart_metrics(xk, n, l)
+        if qual.log_quality > best_log_quality:
+            best_log_quality = qual.log_quality
+            best_chart = np.array(xk, dtype=float, copy=True)
+        return qual, ln_l
+
+    consider(x)
 
     for phase in range(1, sched.total_phases + 1):
         kind = NEG_LOG_QUALITY if phase % 2 == 1 else LOG_L
         objective = objective_factory(kind, n, l)
+        if kind == NEG_LOG_QUALITY:
+            objective = _LowestSeen(objective)
         phase_cfg = replace(cfg, max_iterations=sched.sweeps_for(kind))
 
         def record(xk, fval, nfev, sweep):
-            nonlocal best_log_quality, best_chart
-            qual, ln_l = _chart_metrics(xk, n, l)
-            if qual.log_quality > best_log_quality:
-                best_log_quality = qual.log_quality
-                best_chart = np.array(xk, dtype=float, copy=True)
+            qual, ln_l = consider(xk)
             trace.append(
                 TraceRecord(
                     phase=phase,
@@ -192,6 +216,8 @@ def alternating_optimize(
 
         result = powell_minimize(objective, x, phase_cfg, callback=record)
         nfev_total += result.nfev
+        if kind == NEG_LOG_QUALITY:
+            consider(objective.chart)
         x = result.x
 
     report = evaluate_quorum(quorum_from_chart(best_chart, n, l))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import tomopack.powell
 from tomopack.metrics import upper_bound
 from tomopack.powell import GOLDEN_RATIO, LineResult, PowellConfig, line_minimize, powell_minimize
 from tomopack.schedule import NEG_LOG_QUALITY, make_objective, random_chart
@@ -39,6 +40,13 @@ class TestLineMinimize:
     def test_zero_t0_rejected(self):
         with pytest.raises(ValueError):
             line_minimize(lambda t: t * t, 0.0)
+
+    def test_refinement_seeded_with_bracket(self):
+        # the bracket end points seed the first parabola; refining from a
+        # golden step instead took 28 evaluations here
+        res = line_minimize(lambda t: -np.cos(t - 0.01), 1.0, x_tol=1e-9)
+        assert abs(res.t - 0.01) <= 1e-8
+        assert res.evals <= 14
 
 
 class TestPowellConfig:
@@ -114,6 +122,51 @@ class TestPowellMinimize:
         assert fs == sorted(fs, reverse=True) or all(
             fs[i + 1] <= fs[i] + 1e-12 for i in range(len(fs) - 1)
         )
+
+    def test_second_sweep_cheaper_on_separable_function(self):
+        # each axis remembers twice its last step, so the second sweep
+        # brackets on the scale of the first sweep's moves, not on 1 rad
+        c = np.array([0.01, -0.02, 0.03, 0.015])
+        nfev = []
+        powell_minimize(
+            lambda x: float(np.sum(-np.cos(x - c))),
+            np.zeros(4),
+            PowellConfig(max_iterations=2),
+            callback=lambda x, f, n, sweep: nfev.append(n),
+        )
+        first = nfev[0] - 1  # less the evaluation at x0
+        second = nfev[1] - nfev[0]  # includes Powell's extrapolated point
+        assert second < first
+
+    def test_steps_reset_with_directions(self, monkeypatch):
+        # force a reset to the axes whenever a direction is replaced; the
+        # n line searches after it must all start at 1.0 again
+        dim = 3
+        events = []
+        real_line = tomopack.powell.line_minimize
+
+        def recording_line(f, t0=1.0, **kwargs):
+            events.append(("line", t0))
+            return real_line(f, t0, **kwargs)
+
+        def always_degenerate(directions):
+            events.append(("reset", None))
+            return True
+
+        monkeypatch.setattr(tomopack.powell, "line_minimize", recording_line)
+        monkeypatch.setattr(tomopack.powell, "_directions_degenerate", always_degenerate)
+        a = np.array([[3.0, 1.0, 0.5], [1.0, 2.0, 0.3], [0.5, 0.3, 1.0]])
+        powell_minimize(
+            lambda x: float((x - 0.1) @ a @ (x - 0.1) + np.sum((x - 0.1) ** 4)),
+            np.array([0.7, -0.4, 0.9]),
+            PowellConfig(max_iterations=6),
+        )
+        resets = [k for k, (kind, _) in enumerate(events) if kind == "reset"]
+        assert resets, "no direction was replaced"
+        assert any(kind == "line" and t0 != 1.0 for kind, t0 in events[: resets[0]])
+        for k in resets:
+            after = events[k + 1 : k + 1 + dim]
+            assert all(kind == "line" and t0 == 1.0 for kind, t0 in after)
 
     def test_degenerate_direction_set_detection(self):
         from tomopack.powell import _directions_degenerate

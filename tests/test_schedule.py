@@ -127,6 +127,28 @@ class TestAlternatingOptimize:
         best_traced = max(rec.quality for rec in res.trace)
         assert res.report.quality >= best_traced - 1e-12
 
+    def test_best_chart_at_least_best_evaluated(self):
+        # Powell evaluates points it does not move to (the extrapolated
+        # point of its direction test); none may beat the returned chart
+        seen = []
+
+        def factory(kind, n, l):
+            objective = make_objective(kind, n, l)
+
+            def counted(chart):
+                value = objective(chart)
+                if kind == NEG_LOG_QUALITY:
+                    seen.append(-value)
+                return value
+
+            return counted
+
+        x0 = random_chart(np.random.default_rng(0), 3, 1)
+        sched = ScheduleConfig(phase_length=4, total_phases=3, l_phase_length=2)
+        res = alternating_optimize(x0, 3, 1, sched, FAST, objective_factory=factory)
+        assert seen
+        assert res.report.log_quality >= max(seen)
+
     def test_deterministic_trace(self):
         x0 = random_chart(np.random.default_rng(8), 2, 1)
         sched = ScheduleConfig(phase_length=20, total_phases=2)
