@@ -21,6 +21,7 @@ from .fileio import (
     orthoplex_document,
     projector_set_document,
     read_chart,
+    replacing,
     report_document,
     write_chart,
     write_report,
@@ -91,9 +92,8 @@ def cmd_optimize(args) -> int:
     chart_path = os.path.join(out_dir, "chart.json")
     report_path = os.path.join(out_dir, "report.json")
     trace_path = os.path.join(out_dir, "trace.csv")
-    gram = gram_matrix(quorum_from_chart(result.chart, args.n, args.l))
     write_chart(chart_path, result.chart, args.n, args.l, seed=result.seed)
-    write_report(report_path, result.report, gram, args.n, args.l)
+    write_report(report_path, result.report, result.gram, args.n, args.l)
     write_trace_csv(trace_path, result.trace)
     _print_summary(result.report)
     print(f"wrote {chart_path}, {report_path}, {trace_path}")
@@ -141,7 +141,7 @@ def _emit(doc: dict, out_path) -> int:
         print(payload)
         return 0
     try:
-        with open(out_path, "w") as fh:
+        with replacing(out_path) as fh:
             fh.write(payload)
             fh.write("\n")
     except OSError as exc:
@@ -205,7 +205,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="separate sweep cap for the ln(L) phases (default: same as --sweeps-per-phase)",
     )
     p_opt.add_argument("--f-tol", type=float, default=1e-10, help="Powell relative objective tolerance")
-    p_opt.add_argument("--x-tol", type=float, default=1e-10, help="line-search parameter tolerance")
+    p_opt.add_argument(
+        "--x-tol", type=float, default=1e-10,
+        help="line-search parameter tolerance; refinement also stops at the line's resolution, "
+        "where f changes by less than one rounding unit",
+    )
     p_opt.add_argument("--workers", type=int, default=1, help="parallel restart processes")
     p_opt.add_argument("--out", required=True, help="existing directory for chart/report/trace")
     p_opt.add_argument("--resume", default=None, help="chart file to refine instead of random starts")

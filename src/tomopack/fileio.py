@@ -2,13 +2,16 @@
 
 All documents are JSON with a format_version field.  Floats are written with
 Python's shortest-roundtrip repr, so every value survives a write/read cycle
-at full double precision.
+at full double precision.  Every file is written whole or not at all: the
+content goes to a temporary file beside the target, which then replaces it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
+import os
 from dataclasses import asdict
 from datetime import datetime, timezone
 
@@ -26,6 +29,7 @@ __all__ = [
     "write_report",
     "write_trace_csv",
     "projector_set_document",
+    "replacing",
 ]
 
 FORMAT_VERSION = 1
@@ -36,6 +40,26 @@ TRACE_COLUMNS = [
 
 class ChartFileError(ValueError):
     """Raised when a chart document is malformed; message names the field."""
+
+
+@contextlib.contextmanager
+def replacing(path, newline=None):
+    """A text file to write in place of ``path``.
+
+    Writes go to ``<path>.<pid>.tmp`` in the same directory, which replaces
+    ``path`` (``os.replace``, atomic on POSIX) only when the block ends
+    without an exception.  On any error the temporary file is removed and
+    ``path`` is left as it was, so a crash never leaves a truncated file.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def chart_document(angles, n: int, l: int, seed=None) -> dict:
@@ -55,7 +79,7 @@ def chart_document(angles, n: int, l: int, seed=None) -> dict:
 
 
 def write_chart(path, angles, n: int, l: int, seed=None) -> None:
-    with open(path, "w") as fh:
+    with replacing(path) as fh:
         json.dump(chart_document(angles, n, l, seed=seed), fh)
         fh.write("\n")
 
@@ -103,14 +127,14 @@ def report_document(report: MetricsReport, gram: np.ndarray, n: int, l: int) -> 
 
 
 def write_report(path, report: MetricsReport, gram: np.ndarray, n: int, l: int) -> None:
-    with open(path, "w") as fh:
+    with replacing(path) as fh:
         json.dump(report_document(report, gram, n, l), fh, indent=2)
         fh.write("\n")
 
 
 def write_trace_csv(path, trace) -> None:
     """Trace rows to CSV with the documented column set."""
-    with open(path, "w", newline="") as fh:
+    with replacing(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_COLUMNS)
         for rec in trace:

@@ -24,6 +24,7 @@ __all__ = [
 GOLDEN_RATIO = (1.0 + np.sqrt(5.0)) / 2.0
 _CGOLD = 2.0 - GOLDEN_RATIO  # golden-section fraction 0.381966...
 _TINY = 1e-20
+_EPS = float(np.finfo(float).eps)
 # A direction's next line search starts at _STEP_GROWTH times its last
 # accepted step, kept within [_STEP_FLOOR, 1] rad.
 _STEP_GROWTH = 2.0
@@ -37,7 +38,9 @@ class PowellConfig:
     max_iterations counts full direction sweeps.  f_tol is the relative
     objective decrease over a sweep below which the run stops; x_tol is the
     line-search parameter tolerance: refinement stops once the minimum is
-    located within x_tol·|t| + x_tol on the line parameter t.
+    located within x_tol·|t| + max(x_tol, δ) on the line parameter t, where
+    δ is the line's resolution, the distance over which the bracket's
+    parabola changes f by one rounding unit (see ``line_minimize``).
     """
 
     max_iterations: int = 200
@@ -88,7 +91,12 @@ def line_minimize(
 
     First brackets a minimum by geometric expansion downhill from (0, t0)
     (searching toward negative t if f(t0) > f(0)), then refines inside the
-    bracket with Brent's parabolic/golden steps down to x_tol·|t| + x_tol.
+    bracket with Brent's parabolic/golden steps down to x_tol·|t| + max(x_tol, δ).
+    δ = sqrt(2 ε (|f(b)| + 1) / κ) is the resolution of the line: with
+    κ = 2·f[a, b, c] the curvature of the bracket (a, b, c) and ε the
+    machine epsilon, the bracket's parabola changes f by less than one
+    rounding unit over δ, so no finer location is meaningful (Brent 1973,
+    §5).  When κ <= 0, δ is not defined and x_tol alone applies.
     The refinement starts from all three bracket points (the better end
     point as Brent's second-best), so its first step can be the parabola
     through them rather than a golden section.  If no bracket is found
@@ -125,13 +133,19 @@ def line_minimize(
 
     lo, hi = (a, c) if a < c else (c, a)
     x, fx = b, fb
+    # Locating x more closely than the distance over which the bracket's
+    # parabola changes f by one rounding unit only chases rounding noise.
+    kappa = 2.0 * ((fc - fb) / (c - b) - (fb - fa) / (b - a)) / (c - a)
+    floor = x_tol
+    if kappa > 0.0:
+        floor = max(x_tol, np.sqrt(2.0 * _EPS * (abs(fb) + 1.0) / kappa))
     # Brent refinement: parabolic step when trustworthy, golden otherwise;
     # the bracket end points are the first parabola's other two points.
     (w, fw), (v, fv) = ((a, fa), (c, fc)) if fa <= fc else ((c, fc), (a, fa))
     d = e = hi - lo
     while evals < max_evals:
         m = 0.5 * (lo + hi)
-        tol1 = x_tol * abs(x) + x_tol
+        tol1 = x_tol * abs(x) + floor
         tol2 = 2.0 * tol1
         if abs(x - m) <= tol2 - 0.5 * (hi - lo):
             break

@@ -17,10 +17,11 @@ import numpy as np
 from .hilbert import params_per_vector, quorum_from_chart
 from .metrics import (
     MetricsReport,
-    evaluate_quorum,
+    evaluate_quorum,  # not called here; kept for tomobench, whose traced run replaces it
     gram_matrix,
     non_orthogonality_from_gram,
     quality_from_gram,
+    report_from_gram,
 )
 from .powell import PowellConfig, powell_minimize
 
@@ -88,6 +89,7 @@ class TraceRecord:
 class AlternatingResult:
     chart: np.ndarray                 # best chart seen, ranked by quality
     report: MetricsReport             # metrics of that best chart
+    gram: np.ndarray                  # Gram matrix of that best chart
     final_chart: np.ndarray | None = None  # where the schedule actually ended
     trace: list = field(default_factory=list)
     nfev: int = 0
@@ -139,7 +141,7 @@ def _chart_metrics(chart, n, l):
     g = gram_matrix(quorum_from_chart(chart, n, l))
     qual = quality_from_gram(g)
     _, ln_l = non_orthogonality_from_gram(g)
-    return qual, ln_l
+    return g, qual, ln_l
 
 
 class _LowestSeen:
@@ -168,7 +170,9 @@ def alternating_optimize(
 
     Phases alternate beginning with the -log(quality) objective.  Returns the
     best-ever chart ranked by quality, with its full metrics report and a
-    per-sweep trace.  Candidates are the chart at the end of every sweep and,
+    per-sweep trace.  The report is computed from the Gram matrix built
+    when that chart was first ranked, which the result also carries.
+    Candidates are the chart at the end of every sweep and,
     per volume phase, the chart of lowest objective value that Powell
     evaluated (it may have evaluated a better point than it moved to).
     ``objective_factory(kind, n, l)`` exists so tests can substitute a
@@ -179,15 +183,18 @@ def alternating_optimize(
     trace: list[TraceRecord] = []
     nfev_total = 0
 
-    best_chart, best_log_quality = x.copy(), -np.inf
+    best_chart, best_gram, best_log_quality = x.copy(), None, -np.inf
 
     def consider(xk):
-        """Metrics of xk; keeps xk as the best chart if its quality is the highest yet."""
-        nonlocal best_log_quality, best_chart
-        qual, ln_l = _chart_metrics(xk, n, l)
+        """Metrics of xk; keeps xk and its Gram matrix as the best if its
+        quality is the highest yet (log-quality is always finite, so the
+        first chart considered is kept)."""
+        nonlocal best_log_quality, best_chart, best_gram
+        gram, qual, ln_l = _chart_metrics(xk, n, l)
         if qual.log_quality > best_log_quality:
             best_log_quality = qual.log_quality
             best_chart = np.array(xk, dtype=float, copy=True)
+            best_gram = gram
         return qual, ln_l
 
     consider(x)
@@ -220,9 +227,13 @@ def alternating_optimize(
             consider(objective.chart)
         x = result.x
 
-    report = evaluate_quorum(quorum_from_chart(best_chart, n, l))
     return AlternatingResult(
-        chart=best_chart, report=report, final_chart=x, trace=trace, nfev=nfev_total
+        chart=best_chart,
+        report=report_from_gram(best_gram, n, l),
+        gram=best_gram,
+        final_chart=x,
+        trace=trace,
+        nfev=nfev_total,
     )
 
 

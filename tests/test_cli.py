@@ -262,6 +262,14 @@ class TestReference:
         code, _out, err = run_cli(capsys, "reference", "mub2", "--out", str(target))
         assert code == 3
 
+    def test_out_file_replaced_whole(self, capsys, tmp_path):
+        target = tmp_path / "fam.json"
+        target.write_text("stale")
+        code, _out, _ = run_cli(capsys, "reference", "mub3", "--out", str(target))
+        assert code == 0
+        assert json.loads(target.read_text())["bases_count"] == 4
+        assert [p.name for p in tmp_path.iterdir()] == ["fam.json"]
+
 
 class TestOneGramPerReport:
     """Each reported quorum gets one Gram matrix, shared by its figures and
@@ -271,6 +279,7 @@ class TestOneGramPerReport:
     def gram_calls(self, monkeypatch):
         import tomopack.cli
         import tomopack.metrics
+        import tomopack.schedule
 
         calls = []
         original = tomopack.metrics.gram_matrix
@@ -281,6 +290,7 @@ class TestOneGramPerReport:
 
         monkeypatch.setattr(tomopack.metrics, "gram_matrix", counted)
         monkeypatch.setattr(tomopack.cli, "gram_matrix", counted)
+        monkeypatch.setattr(tomopack.schedule, "gram_matrix", counted)
         return calls
 
     def test_evaluate_builds_gram_once(self, capsys, tmp_path, gram_calls):
@@ -301,3 +311,26 @@ class TestOneGramPerReport:
         # one build is the construction's own orthogonality check inside
         # halfdim_optimal_quorum_n4, one is the report's
         assert len(gram_calls) == 2
+
+    def test_optimize_builds_no_gram_beyond_search(self, capsys, tmp_path, monkeypatch, gram_calls):
+        # one build per objective call and one per chart the schedule ranks
+        # (the start chart, one per sweep, the phase's lowest-seen chart);
+        # the report and report.json reuse the winner's Gram matrix
+        import tomopack.schedule
+
+        nfev = []
+        original = tomopack.schedule.powell_minimize
+
+        def counted_powell(*args, **kwargs):
+            result = original(*args, **kwargs)
+            nfev.append(result.nfev)
+            return result
+
+        monkeypatch.setattr(tomopack.schedule, "powell_minimize", counted_powell)
+        code, _out, _ = run_cli(
+            capsys, "optimize", "--n", "2", "--l", "1", "--restarts", "1", "--phases", "1",
+            "--sweeps-per-phase", "1", "--out", str(tmp_path),
+        )
+        assert code == 0
+        assert len(nfev) == 1
+        assert len(gram_calls) == nfev[0] + 3

@@ -9,6 +9,7 @@ from tomopack.fileio import (
     read_chart,
     report_document,
     write_chart,
+    write_report,
     write_trace_csv,
 )
 from tomopack.hilbert import quorum_from_chart
@@ -90,3 +91,29 @@ class TestTraceCsv:
         first = lines[1].split(",")
         assert first[0] == "1" and first[2] == "neg_log_quality"
         assert float(first[3]) == -1.5
+
+
+class TestCrashSafeWrites:
+    def test_failed_dump_keeps_old_chart(self, tmp_path, monkeypatch):
+        path = tmp_path / "chart.json"
+        write_chart(path, np.linspace(0.0, 1.0, 4), 2, 1, seed=1)
+        before = path.read_bytes()
+
+        def half_dump(obj, fh, **kwargs):
+            fh.write('{"format_version": 1, "n": ')
+            raise RuntimeError("interrupted mid-write")
+
+        monkeypatch.setattr(json, "dump", half_dump)
+        with pytest.raises(RuntimeError):
+            write_chart(path, np.zeros(4), 2, 1)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["chart.json"]
+
+    def test_writers_leave_only_their_target(self, tmp_path):
+        quorum = quorum_from_chart(np.linspace(0.0, 1.0, 4), 2, 1)
+        gram = gram_matrix(quorum)
+        write_chart(tmp_path / "chart.json", np.linspace(0.0, 1.0, 4), 2, 1)
+        write_report(tmp_path / "report.json", evaluate_quorum(quorum), gram, 2, 1)
+        write_trace_csv(tmp_path / "trace.csv", [TraceRecord(1, 1, "log_l", 1.0, 0.3, 1.0, 10, 0.1)])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["chart.json", "report.json", "trace.csv"]
+        assert json.loads((tmp_path / "report.json").read_text())["n"] == 2

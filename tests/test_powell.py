@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import tomopack.powell
+from tomopack import bundled_chart_n6
 from tomopack.metrics import upper_bound
 from tomopack.powell import GOLDEN_RATIO, LineResult, PowellConfig, line_minimize, powell_minimize
 from tomopack.schedule import NEG_LOG_QUALITY, make_objective, random_chart
@@ -43,10 +44,53 @@ class TestLineMinimize:
 
     def test_refinement_seeded_with_bracket(self):
         # the bracket end points seed the first parabola; refining from a
-        # golden step instead took 28 evaluations here
+        # golden step instead took 28 evaluations here, and 11 before the
+        # refinement stopped at the line's resolution
         res = line_minimize(lambda t: -np.cos(t - 0.01), 1.0, x_tol=1e-9)
         assert abs(res.t - 0.01) <= 1e-8
-        assert res.evals <= 14
+        assert res.evals <= 9
+
+    def test_refinement_stops_at_line_resolution(self):
+        # f changes by less than one rounding unit within ~1e-8 of 0.3, so
+        # x_tol = 1e-12 cannot be met; refining toward it took 42
+        # evaluations and ended 1.8e-8 away
+        res = line_minimize(lambda t: (t - 0.3) ** 2 + 5.0, 1.0, x_tol=1e-12)
+        assert res.bracketed
+        assert res.evals <= 6
+        assert abs(res.t - 0.3) <= 1e-15
+        assert res.fval == 5.0
+
+    def test_constant_function_terminates(self):
+        # a flat bracket has curvature 0: no resolution floor, x_tol alone
+        res = line_minimize(lambda t: 3.0, 1.0, x_tol=1e-10, max_evals=100)
+        assert res.evals < 100
+        assert res.fval == 3.0
+
+    def test_floor_leaves_nothing_resolvable_on_n6_lines(self):
+        # On coordinate lines of the bundled n = 6 chart, fit a parabola to
+        # 201 points within 10 line resolutions δ of the result; the fit
+        # averages out f's rounding jitter (~1e-15 rms here, so single grid
+        # points dip below fval by noise alone).  The refinement stops once
+        # the minimum is bracketed within about 2δ of t, where the parabola
+        # lies at most κ/2·(2δ)² = 4ε(|f| + 1) below fval.
+        eps = np.finfo(float).eps
+        objective = make_objective(NEG_LOG_QUALITY, 6, 3)
+        x0 = bundled_chart_n6()
+        for i in np.linspace(0, x0.size - 1, 10).astype(int):
+            e = np.zeros(x0.size)
+            e[i] = 1.0
+            g = lambda t: objective(x0 + t * e)
+            res = line_minimize(g, 1.0, x_tol=1e-9, f_origin=g(0.0))
+            h = 1e-3
+            kappa = (g(res.t + h) - 2.0 * res.fval + g(res.t - h)) / h**2
+            unit = eps * (abs(res.fval) + 1.0)
+            delta = np.sqrt(2.0 * unit / kappa)
+            offsets = np.linspace(-10.0 * delta, 10.0 * delta, 201)
+            values = np.array([g(res.t + s) for s in offsets])
+            c2, c1, c0 = np.polyfit(offsets, values - res.fval, 2)
+            fit_min = c0 - c1 * c1 / (4.0 * c2)
+            assert c2 > 0.0, i
+            assert fit_min >= -4.0 * unit, (i, fit_min / unit)
 
 
 class TestPowellConfig:

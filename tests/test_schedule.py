@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tomopack.hilbert import quorum_from_chart
-from tomopack.metrics import evaluate_quorum, upper_bound
+from tomopack.metrics import evaluate_quorum, gram_matrix, upper_bound
 from tomopack.powell import PowellConfig, powell_minimize
 from tomopack.schedule import (
     LOG_L,
@@ -148,6 +148,18 @@ class TestAlternatingOptimize:
         res = alternating_optimize(x0, 3, 1, sched, FAST, objective_factory=factory)
         assert seen
         assert res.report.log_quality >= max(seen)
+
+    def test_report_from_kept_gram_equals_fresh_evaluation(self):
+        # the report comes from the Gram matrix built when the best chart
+        # was ranked; rebuilding it from the chart must give the same figures
+        x0 = random_chart(np.random.default_rng(5), 3, 1)
+        sched = ScheduleConfig(phase_length=4, total_phases=3, l_phase_length=2)
+        res = alternating_optimize(x0, 3, 1, sched, FAST)
+        quorum = quorum_from_chart(res.chart, 3, 1)
+        assert np.array_equal(res.gram, gram_matrix(quorum))
+        fresh = evaluate_quorum(quorum)
+        for name in fresh.__dataclass_fields__:
+            assert getattr(res.report, name) == getattr(fresh, name), name
 
     def test_deterministic_trace(self):
         x0 = random_chart(np.random.default_rng(8), 2, 1)
