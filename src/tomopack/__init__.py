@@ -8,12 +8,9 @@ from .hilbert import (
     chart_length,
     projector_from_vectors,
     quorum_from_chart,
-    traceless_part,
-    vector_from_angles,
 )
 from .metrics import (
     MetricsReport,
-    chordal_distance_sq,
     evaluate_quorum,
     extend_to_maximal,
     gram_matrix,

@@ -15,10 +15,10 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from .fileio import (
     ChartFileError,
-    orthoplex_document,
     projector_set_document,
     read_chart,
     replacing,
@@ -27,7 +27,7 @@ from .fileio import (
     write_report,
     write_trace_csv,
 )
-from .hilbert import quorum_from_chart
+from .hilbert import chart_length, quorum_from_chart
 from .metrics import (
     evaluate_quorum,  # not called here; kept for tomobench, whose traced run replaces it
     extend_to_maximal,
@@ -59,20 +59,23 @@ def _print_summary(report) -> None:
 
 
 def cmd_optimize(args) -> int:
+    try:
+        chart_length(args.n, args.l)
+        sched = ScheduleConfig(
+            phase_length=args.sweeps_per_phase,
+            total_phases=args.phases,
+            restart_count=args.restarts,
+            rng_seed=args.seed,
+            l_phase_length=args.l_sweeps_per_phase,
+        )
+        cfg = PowellConfig(f_tol=args.f_tol, x_tol=args.x_tol)
+    except ValueError as exc:
+        return _fail(f"invalid flags: {exc}", 2)
     out_dir = args.out
     if not os.path.isdir(out_dir):
         return _fail(f"output directory does not exist: {out_dir}", 3)
     if not os.access(out_dir, os.W_OK):
         return _fail(f"output directory is not writable: {out_dir}", 3)
-
-    sched = ScheduleConfig(
-        phase_length=args.sweeps_per_phase,
-        total_phases=args.phases,
-        restart_count=args.restarts,
-        rng_seed=args.seed,
-        l_phase_length=args.l_sweeps_per_phase,
-    )
-    cfg = PowellConfig(f_tol=args.f_tol, x_tol=args.x_tol)
 
     if args.resume is not None:
         try:
@@ -130,7 +133,7 @@ def cmd_extend(args) -> int:
     maximal = extend_to_maximal(quorum)
     report = orthoplex_report(maximal.projectors, tol=args.tol)
     doc = projector_set_document(
-        maximal.projectors, maximal.n, maximal.l, extra={"orthoplex": orthoplex_document(report)}
+        maximal.projectors, maximal.n, maximal.l, extra={"orthoplex": asdict(report)}
     )
     return _emit(doc, args.out)
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .hilbert import chart_length
-from .metrics import MetricsReport, OrthoplexReport, worst_pairs
+from .metrics import MetricsReport, worst_pairs
 
 __all__ = [
     "ChartFileError",
@@ -100,7 +100,8 @@ def read_chart(path) -> tuple[np.ndarray, int, int, dict]:
         if key not in doc:
             raise ChartFileError(f"{path}: missing field '{key}'")
     n, l = doc["n"], doc["l"]
-    if not (isinstance(n, int) and isinstance(l, int) and 1 <= l < n):
+    # type(...) is int: JSON true/false load as bool, an int subclass
+    if not (type(n) is int and type(l) is int and 1 <= l < n):
         raise ChartFileError(f"{path}: fields 'n'/'l' invalid: n={n!r}, l={l!r}")
     if doc.get("fixed_first") is not True:
         raise ChartFileError(f"{path}: field 'fixed_first' must be true")
@@ -111,8 +112,14 @@ def read_chart(path) -> tuple[np.ndarray, int, int, dict]:
         raise ChartFileError(
             f"{path}: field 'angles' must hold {expected} numbers for n={n}, l={l}, got {got}"
         )
-    arr = np.asarray(angles, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    bad = next((k for k, a in enumerate(angles) if type(a) not in (int, float)), None)
+    if bad is not None:
+        raise ChartFileError(f"{path}: field 'angles' holds a non-number at index {bad}: {angles[bad]!r}")
+    try:
+        arr = np.asarray(angles, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        arr = None
+    if arr is None or not np.all(np.isfinite(arr)):
         raise ChartFileError(f"{path}: field 'angles' contains non-finite values")
     return arr, n, l, doc.get("metadata", {})
 
@@ -173,7 +180,3 @@ def projector_set_document(projectors: np.ndarray, n: int, l: int, extra: dict |
     if extra:
         doc.update(extra)
     return doc
-
-
-def orthoplex_document(report: OrthoplexReport) -> dict:
-    return asdict(report)

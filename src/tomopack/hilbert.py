@@ -17,25 +17,15 @@ import numpy as np
 
 __all__ = [
     "Quorum",
-    "chart_vector_dim",
     "params_per_vector",
     "chart_length",
-    "vector_from_angles",
-    "embed_orthonormal_vectors",
     "projector_from_vectors",
-    "traceless_part",
-    "fixed_first_projector",
     "quorum_from_chart",
 ]
 
 # Composed operations (embedding plus projector assembly) get this much slack;
 # exact algebraic identities are checked at 1e-12 where they appear.
 TOL_COMPOSED = 1e-10
-
-
-def chart_vector_dim(n: int, l: int) -> int:
-    """Dimension of the subspace each chart vector is drawn from."""
-    return n - l + 1
 
 
 def params_per_vector(n: int, l: int) -> int:
@@ -89,6 +79,10 @@ def _angles_to_components(angles: np.ndarray) -> np.ndarray:
         x_d = sin theta_1 ... sin theta_{d-1} e^{i phi_d}
 
     so the result has unit norm by construction for any real angles.
+    Angles outside the canonical ranges are fine; the trigonometric map
+    wraps them.  The map is many-to-one at degenerate points: theta_1 = 0
+    gives e_1 whatever the other angles are, so every phase is irrelevant
+    there.  Harmless for optimization, worth knowing when comparing charts.
     """
     angles = np.asarray(angles, dtype=float)
     if angles.shape[-1] % 2 != 0 or angles.shape[-1] < 2:
@@ -112,21 +106,6 @@ def _angles_to_components(angles: np.ndarray) -> np.ndarray:
     return mag * phase
 
 
-def vector_from_angles(angles) -> np.ndarray:
-    """Unit vector in C^d from 2d-2 real angles (d inferred from the length).
-
-    The six-angle case yields the four-component vector
-    (cos t1, sin t1 cos t2 e^{i p2}, sin t1 sin t2 cos t3 e^{i p3},
-    sin t1 sin t2 sin t3 e^{i p4}).  Angles outside the canonical ranges are
-    fine; the trigonometric map wraps them without changing the construction.
-    The chart is many-to-one at degenerate points (e.g. t1 = 0 makes every
-    phase irrelevant); harmless for optimization, worth knowing when
-    comparing charts.
-    """
-    v = _angles_to_components(np.asarray(angles, dtype=float).reshape(-1))
-    return v
-
-
 def _householder_complement(comp: np.ndarray, coords: np.ndarray) -> np.ndarray:
     """Shrink a batch of complement bases by one direction.
 
@@ -138,6 +117,13 @@ def _householder_complement(comp: np.ndarray, coords: np.ndarray) -> np.ndarray:
     Uses the Householder reflection with vector w = coords + e^{i a} e1 where
     a = arg(coords[0]); this sign choice maximizes |w| (|w|^2 = 2(1 + |c0|)),
     so the construction never degenerates.
+
+    The price is a jump in the chart map.  c0 = cos theta_1 of the placed
+    vector is real, so e^{i a} is +1 or -1 and flips where theta_1 crosses
+    pi/2 (mod pi).  There the returned basis, and with it every later vector
+    of the same projector, changes discontinuously.  So the chart -> quorum
+    map jumps at theta_1 = pi/2 of every vector but the last of each
+    projector; a search can stall against such a wall.
     """
     w = coords.copy()
     w[:, 0] += np.exp(1j * np.angle(coords[:, 0]))
@@ -156,7 +142,7 @@ def _embed_batch(components: np.ndarray, n: int, l: int) -> np.ndarray:
     the previously placed vectors.  Returns (B, l, n).
     """
     B = components.shape[0]
-    d = chart_vector_dim(n, l)
+    d = n - l + 1
     comp = np.broadcast_to(np.eye(n, dtype=complex), (B, n, n)).copy()
     out = np.empty((B, l, n), dtype=complex)
     for k in range(l):
@@ -168,14 +154,6 @@ def _embed_batch(components: np.ndarray, n: int, l: int) -> np.ndarray:
             chat[:, :d] = c
             comp = _householder_complement(comp, chat)
     return out
-
-
-def embed_orthonormal_vectors(angle_blocks, n: int, l: int) -> np.ndarray:
-    """Map l angle blocks (each 2(n-l) reals) to l pairwise-orthogonal unit
-    vectors in C^n, shape (l, n)."""
-    blocks = np.asarray(angle_blocks, dtype=float).reshape(l, params_per_vector(n, l))
-    components = _angles_to_components(blocks)
-    return _embed_batch(components[None, :, :], n, l)[0]
 
 
 def projector_from_vectors(*vectors) -> np.ndarray:
@@ -196,27 +174,11 @@ def projector_from_vectors(*vectors) -> np.ndarray:
     return 0.5 * (p + p.conj().T)
 
 
-def traceless_part(p: np.ndarray) -> np.ndarray:
-    """Remove the trace: Q = P - (l/n) * identity, with l read off the trace."""
-    p = np.asarray(p, dtype=complex)
-    n = p.shape[-1]
-    tr = np.trace(p, axis1=-2, axis2=-1).real
-    q = p.copy()
-    idx = np.arange(n)
-    q[..., idx, idx] -= (tr / n)[..., None]
-    return q
-
-
 @lru_cache(maxsize=None)
 def _fixed_first_cached(n: int, l: int) -> np.ndarray:
     p = np.diag(np.concatenate([np.ones(l), np.zeros(n - l)])).astype(complex)
     p.setflags(write=False)
     return p
-
-
-def fixed_first_projector(n: int, l: int) -> np.ndarray:
-    """The pinned first quorum element diag(1,...,1,0,...,0) with l ones."""
-    return _fixed_first_cached(n, l).copy()
 
 
 def quorum_from_chart(chart, n: int = 6, l: int = 3) -> Quorum:

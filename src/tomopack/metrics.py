@@ -24,7 +24,6 @@ __all__ = [
     "quality_from_gram",
     "upper_bound",
     "non_orthogonality_from_gram",
-    "chordal_distance_sq",
     "orthoplex_report",
     "extend_to_maximal",
     "repetition_overhead",
@@ -133,20 +132,6 @@ def non_orthogonality_from_gram(gram: np.ndarray) -> tuple[float, float]:
     l_sum = float(a.sum() - np.trace(a))
     ln_l = float(np.log(l_sum)) if l_sum > 0.0 else float("-inf")
     return l_sum, ln_l
-
-
-def chordal_distance_sq(p_i: np.ndarray, p_j: np.ndarray) -> float:
-    """Squared chordal distance l - Tr(P_i P_j) between equal-rank projectors."""
-    p_i = np.asarray(p_i, dtype=complex)
-    p_j = np.asarray(p_j, dtype=complex)
-    if p_i.shape != p_j.shape or p_i.ndim != 2 or p_i.shape[0] != p_i.shape[1]:
-        raise ValueError(f"projector shape mismatch: {p_i.shape} vs {p_j.shape}")
-    l_i = np.trace(p_i).real
-    l_j = np.trace(p_j).real
-    if abs(l_i - l_j) > 1e-8:
-        raise ValueError(f"rank mismatch: traces {l_i:.6f} vs {l_j:.6f}")
-    val = l_i - np.einsum("ab,ba->", p_i, p_j).real
-    return float(np.clip(val, 0.0, l_i))
 
 
 def orthoplex_report(projectors, tol: float = 1e-6) -> OrthoplexReport:

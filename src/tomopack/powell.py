@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "GOLDEN_RATIO",
     "PowellConfig",
     "LineResult",
     "PowellResult",
@@ -21,10 +20,13 @@ __all__ = [
     "powell_minimize",
 ]
 
-GOLDEN_RATIO = (1.0 + np.sqrt(5.0)) / 2.0
-_CGOLD = 2.0 - GOLDEN_RATIO  # golden-section fraction 0.381966...
+_PHI = (1.0 + np.sqrt(5.0)) / 2.0  # the golden ratio
+_CGOLD = 2.0 - _PHI  # golden-section fraction 0.381966...
 _TINY = 1e-20
 _EPS = float(np.finfo(float).eps)
+# Bracketing grows the interval by _PHI per step; one line search makes at
+# most _LINE_BUDGET objective calls.
+_LINE_BUDGET = 100
 # A direction's next line search starts at _STEP_GROWTH times its last
 # accepted step, kept within [_STEP_FLOOR, 1] rad.
 _STEP_GROWTH = 2.0
@@ -33,31 +35,26 @@ _STEP_FLOOR = 1e-6
 
 @dataclass(frozen=True)
 class PowellConfig:
-    """Knobs for one Powell run.
+    """Stopping rules of one Powell run.
 
     max_iterations counts full direction sweeps.  f_tol is the relative
     objective decrease over a sweep below which the run stops; x_tol is the
     line-search parameter tolerance: refinement stops once the minimum is
     located within x_tol·|t| + max(x_tol, δ) on the line parameter t, where
     δ is the line's resolution, the distance over which the bracket's
-    parabola changes f by one rounding unit (see ``line_minimize``).
+    parabola changes f by one rounding unit.  How a line search brackets,
+    and its budget of 100 objective calls, are fixed (see ``line_minimize``).
     """
 
     max_iterations: int = 200
     f_tol: float = 1e-10
     x_tol: float = 1e-10
-    bracket_growth: float = GOLDEN_RATIO
-    max_line_evals: int = 100
 
     def __post_init__(self):
         if self.max_iterations <= 0:
             raise ValueError("max_iterations must be positive")
-        if self.f_tol <= 0 or self.x_tol <= 0:
+        if not (self.f_tol > 0 and self.x_tol > 0):  # NaN fails too
             raise ValueError("tolerances must be positive")
-        if self.bracket_growth <= 1.0:
-            raise ValueError("bracket_growth must exceed 1")
-        if self.max_line_evals <= 0:
-            raise ValueError("max_line_evals must be positive")
 
 
 @dataclass(frozen=True)
@@ -83,15 +80,14 @@ def line_minimize(
     t0: float = 1.0,
     *,
     x_tol: float = 1e-10,
-    growth: float = GOLDEN_RATIO,
-    max_evals: int = 100,
     f_origin: float | None = None,
 ) -> LineResult:
     """Minimize a 1-D function starting from the points t=0 and t=t0.
 
-    First brackets a minimum by geometric expansion downhill from (0, t0)
-    (searching toward negative t if f(t0) > f(0)), then refines inside the
-    bracket with Brent's parabolic/golden steps down to x_tol·|t| + max(x_tol, δ).
+    First brackets a minimum by expanding downhill from (0, t0), each step
+    the golden ratio times the last (searching toward negative t if
+    f(t0) > f(0)), then refines inside the bracket with Brent's
+    parabolic/golden steps down to x_tol·|t| + max(x_tol, δ).
     δ = sqrt(2 ε (|f(b)| + 1) / κ) is the resolution of the line: with
     κ = 2·f[a, b, c] the curvature of the bracket (a, b, c) and ε the
     machine epsilon, the bracket's parabola changes f by less than one
@@ -99,10 +95,10 @@ def line_minimize(
     §5).  When κ <= 0, δ is not defined and x_tol alone applies.
     The refinement starts from all three bracket points (the better end
     point as Brent's second-best), so its first step can be the parabola
-    through them rather than a golden section.  If no bracket is found
-    within max_evals the best sampled point is returned with
-    ``bracketed=False``.  The result never lies above f(0).  ``f_origin``,
-    when given, is f(0), which is then not evaluated again.
+    through them rather than a golden section.  A search makes at most 100
+    objective calls; if they find no bracket, the best sampled point is
+    returned with ``bracketed=False``.  The result never lies above f(0).
+    ``f_origin``, when given, is f(0), which is then not evaluated again.
     """
     if t0 == 0.0:
         raise ValueError("t0 must be nonzero")
@@ -119,16 +115,16 @@ def line_minimize(
     if fb > fa:
         a, b = b, a
         fa, fb = fb, fa
-    c = b + growth * (b - a)
+    c = b + _PHI * (b - a)
     fc = call(c)
     while fc < fb:
-        if evals >= max_evals:
+        if evals >= _LINE_BUDGET:
             # still descending; report the farthest (best) sample
             t_best, f_best = (c, fc) if fc <= f0 else (0.0, f0)
             return LineResult(t=t_best, fval=f_best, evals=evals, bracketed=False)
         a, fa = b, fb
         b, fb = c, fc
-        c = b + growth * (b - a)
+        c = b + _PHI * (b - a)
         fc = call(c)
 
     lo, hi = (a, c) if a < c else (c, a)
@@ -143,7 +139,7 @@ def line_minimize(
     # the bracket end points are the first parabola's other two points.
     (w, fw), (v, fv) = ((a, fa), (c, fc)) if fa <= fc else ((c, fc), (a, fa))
     d = e = hi - lo
-    while evals < max_evals:
+    while evals < _LINE_BUDGET:
         m = 0.5 * (lo + hi)
         tol1 = x_tol * abs(x) + floor
         tol2 = 2.0 * tol1
@@ -252,8 +248,6 @@ def powell_minimize(f, x0, cfg: PowellConfig = PowellConfig(), callback=None) ->
                 lambda t: ff(x + t * u),
                 t0=steps[i],
                 x_tol=cfg.x_tol,
-                growth=cfg.bracket_growth,
-                max_evals=cfg.max_line_evals,
                 f_origin=f_prev,
             )
             if line.fval < f_cur and line.t != 0.0:
@@ -282,8 +276,6 @@ def powell_minimize(f, x0, cfg: PowellConfig = PowellConfig(), callback=None) ->
                     lambda s: ff(x + s * disp),
                     t0=1.0,
                     x_tol=cfg.x_tol,
-                    growth=cfg.bracket_growth,
-                    max_evals=cfg.max_line_evals,
                     f_origin=f_cur,
                 )
                 if line.fval < f_cur and line.t != 0.0:

@@ -64,6 +64,8 @@ class ScheduleConfig:
     def __post_init__(self):
         if self.phase_length <= 0 or self.total_phases <= 0 or self.restart_count <= 0:
             raise ValueError("schedule counts must be positive")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be non-negative")
         if self.l_phase_length is not None and self.l_phase_length <= 0:
             raise ValueError("l_phase_length must be positive when given")
 
@@ -100,11 +102,6 @@ class AlternatingResult:
 class MultiRestartResult:
     best: AlternatingResult
     results: list = field(default_factory=list)   # full AlternatingResult per restart
-
-    @property
-    def runs(self) -> list:
-        """(seed, quality) per restart."""
-        return [(r.seed, r.report.quality) for r in self.results]
 
 
 def make_objective(kind: str, n: int, l: int):
@@ -249,24 +246,18 @@ def _run_restart(args) -> AlternatingResult:
 def multi_restart(
     sched: ScheduleConfig = ScheduleConfig(),
     cfg: PowellConfig = PowellConfig(),
-    seeds=None,
     n: int = 6,
     l: int = 3,
     workers: int = 1,
 ) -> MultiRestartResult:
     """Independent alternating runs from random charts; best quality wins.
 
-    ``seeds`` defaults to sched.rng_seed .. sched.rng_seed + restart_count - 1.
-    Restarts are independent, so with workers > 1 they run in separate
-    processes; results are reduced in seed order either way, which makes the
-    outcome reproducible.
+    Restart k starts from the chart drawn with seed sched.rng_seed + k, for
+    k < sched.restart_count.  Restarts are independent, so with workers > 1
+    they run in separate processes; results are reduced in seed order
+    either way, which makes the outcome reproducible.
     """
-    if seeds is None:
-        seeds = [sched.rng_seed + k for k in range(sched.restart_count)]
-    seeds = list(seeds)
-    if not seeds:
-        raise ValueError("need at least one seed")
-    tasks = [(seed, n, l, sched, cfg) for seed in seeds]
+    tasks = [(sched.rng_seed + k, n, l, sched, cfg) for k in range(sched.restart_count)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_restart, tasks))

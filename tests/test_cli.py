@@ -42,6 +42,27 @@ class TestOptimize:
         assert "output directory" in err
         assert not missing.exists()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--restarts", "0"],
+            ["--phases", "0"],
+            ["--sweeps-per-phase", "0"],
+            ["--l-sweeps-per-phase", "0"],
+            ["--f-tol", "0"],
+            ["--x-tol", "0"],
+            ["--x-tol", "nan"],
+            ["--seed", "-1"],
+            ["--n", "3", "--l", "3"],
+            ["--n", "1", "--l", "1"],
+        ],
+    )
+    def test_bad_flags_exit_2_without_files(self, capsys, tmp_path, flags):
+        code, _out, err = run_cli(capsys, "optimize", *flags, "--out", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error: invalid flags")
+        assert list(tmp_path.iterdir()) == []
+
     def test_n2_reaches_analytic_optimum(self, n2_run, capsys):
         code, out, _ = run_cli(capsys, "evaluate", str(n2_run / "chart.json"))
         assert code == 0
@@ -160,6 +181,31 @@ class TestEvaluate:
         code, _out, err = run_cli(capsys, "evaluate", str(path))
         assert code == 2
         assert "format_version" in err
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["evaluate", "{chart}"],
+            ["extend", "{chart}", "--out", "{out}/maximal.json"],
+            ["optimize", "--n", "2", "--l", "1", "--resume", "{chart}", "--out", "{out}"],
+        ],
+    )
+    @pytest.mark.parametrize(
+        "fields,named",
+        [({"angles": ["x", 0, 0, 0]}, "'angles'"), ({"n": True, "l": True}, "'n'/'l'"), ({"l": True}, "'n'/'l'")],
+    )
+    def test_malformed_chart_exits_2(self, capsys, tmp_path, command, fields, named):
+        chart = tmp_path / "malformed.json"
+        doc = {"format_version": 1, "n": 2, "l": 1, "fixed_first": True, "angles": [0.0] * 4}
+        doc.update(fields)
+        chart.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = [arg.format(chart=chart, out=out) for arg in command]
+        code, _out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert named in err
+        assert list(out.iterdir()) == []
 
     def test_missing_file(self, capsys, tmp_path):
         code, _out, err = run_cli(capsys, "evaluate", str(tmp_path / "nope.json"))

@@ -50,6 +50,32 @@ class TestChartRoundTrip:
         with pytest.raises(ChartFileError, match="non-finite"):
             read_chart(path)
 
+    def test_rejects_non_numeric_angle(self, tmp_path):
+        for bad in ("x", True, None, [1.0]):
+            path = tmp_path / "str.json"
+            doc = chart_document(np.zeros(4), 2, 1)
+            doc["angles"][1] = bad
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ChartFileError, match="'angles'.*index 1"):
+                read_chart(path)
+
+    def test_rejects_angle_beyond_float_range(self, tmp_path):
+        path = tmp_path / "big.json"
+        doc = chart_document(np.zeros(4), 2, 1)
+        doc["angles"][0] = 10**400
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ChartFileError, match="non-finite"):
+            read_chart(path)
+
+    @pytest.mark.parametrize("n,l", [(True, 1), (2, True), (2.0, 1)])
+    def test_rejects_non_integer_dimensions(self, tmp_path, n, l):
+        path = tmp_path / "dims.json"
+        doc = chart_document(np.zeros(4), 2, 1)
+        doc["n"], doc["l"] = n, l
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ChartFileError, match="'n'/'l'"):
+            read_chart(path)
+
     def test_rejects_missing_fixed_first(self, tmp_path):
         path = tmp_path / "ff.json"
         doc = chart_document(np.zeros(4), 2, 1)

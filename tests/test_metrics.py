@@ -4,13 +4,10 @@ import pytest
 from tomopack.hilbert import (
     Quorum,
     chart_length,
-    fixed_first_projector,
     projector_from_vectors,
     quorum_from_chart,
-    traceless_part,
 )
 from tomopack.metrics import (
-    chordal_distance_sq,
     evaluate_quorum,
     extend_to_maximal,
     gram_matrix,
@@ -24,7 +21,7 @@ from tomopack.metrics import (
 )
 from tomopack.reference import bundled_chart_n6, halfdim_optimal_quorum_n4, rank1_optimal_quorum_n2
 
-from oracles import quality_from_det
+from oracles import chordal_distance_sq, fixed_first_projector, quality_from_det
 
 
 def _mub_trio_quorum():

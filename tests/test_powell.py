@@ -4,7 +4,7 @@ import pytest
 import tomopack.powell
 from tomopack import bundled_chart_n6
 from tomopack.metrics import upper_bound
-from tomopack.powell import GOLDEN_RATIO, LineResult, PowellConfig, line_minimize, powell_minimize
+from tomopack.powell import LineResult, PowellConfig, line_minimize, powell_minimize
 from tomopack.schedule import NEG_LOG_QUALITY, make_objective, random_chart
 
 
@@ -28,8 +28,9 @@ class TestLineMinimize:
         assert abs(res.t + 3.0) <= 1e-8
 
     def test_monotone_returns_best_sample_with_flag(self):
-        res = line_minimize(lambda t: t, 1.0, max_evals=12)
+        res = line_minimize(lambda t: t, 1.0)
         assert not res.bracketed
+        assert res.evals == 100
         assert res.t < 0  # walked downhill as far as the budget allowed
         assert res.fval == res.t
 
@@ -62,7 +63,7 @@ class TestLineMinimize:
 
     def test_constant_function_terminates(self):
         # a flat bracket has curvature 0: no resolution floor, x_tol alone
-        res = line_minimize(lambda t: 3.0, 1.0, x_tol=1e-10, max_evals=100)
+        res = line_minimize(lambda t: 3.0, 1.0, x_tol=1e-10)
         assert res.evals < 100
         assert res.fval == 3.0
 
@@ -99,8 +100,6 @@ class TestPowellConfig:
         assert cfg.max_iterations == 200
         assert cfg.f_tol == 1e-10
         assert cfg.x_tol == 1e-10
-        assert cfg.bracket_growth == GOLDEN_RATIO
-        assert cfg.max_line_evals == 100
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -108,9 +107,7 @@ class TestPowellConfig:
         with pytest.raises(ValueError):
             PowellConfig(f_tol=0.0)
         with pytest.raises(ValueError):
-            PowellConfig(bracket_growth=0.9)
-        with pytest.raises(ValueError):
-            PowellConfig(max_line_evals=-1)
+            PowellConfig(x_tol=float("nan"))
 
 
 class TestPowellMinimize:

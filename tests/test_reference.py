@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from tomopack.metrics import (
-    chordal_distance_sq,
     evaluate_quorum,
     extend_to_maximal,
     gram_matrix,
@@ -19,7 +18,7 @@ from tomopack.reference import (
 from tomopack.schedule import ScheduleConfig, alternating_optimize
 from tomopack.hilbert import quorum_from_chart
 
-from oracles import CHART_N2_ORACLE
+from oracles import CHART_N2_ORACLE, chordal_distance_sq
 
 
 def extend_and_verify_n4(tol=1e-10):
