@@ -69,6 +69,8 @@ def cmd_optimize(args) -> int:
             l_phase_length=args.l_sweeps_per_phase,
         )
         cfg = PowellConfig(f_tol=args.f_tol, x_tol=args.x_tol)
+        if args.workers < 1:
+            raise ValueError(f"--workers must be at least 1, got {args.workers}")
     except ValueError as exc:
         return _fail(f"invalid flags: {exc}", 2)
     out_dir = args.out
@@ -87,7 +89,6 @@ def cmd_optimize(args) -> int:
                 f"resume chart is for n={n}, l={l}, but flags request n={args.n}, l={args.l}", 2
             )
         result = alternating_optimize(angles, n, l, sched, cfg)
-        result.seed = args.seed
     else:
         mr = multi_restart(sched, cfg, n=args.n, l=args.l, workers=args.workers)
         result = mr.best
@@ -127,14 +128,13 @@ def cmd_extend(args) -> int:
             angles, n, l, _meta = read_chart(args.chart)
         except (OSError, ChartFileError) as exc:
             return _fail(str(exc), 2)
-        if 2 * l != n:
-            return _fail(f"complement extension needs l = n/2, chart has n={n}, l={l}", 2)
         quorum = quorum_from_chart(angles, n, l)
-    maximal = extend_to_maximal(quorum)
-    report = orthoplex_report(maximal.projectors, tol=args.tol)
-    doc = projector_set_document(
-        maximal.projectors, maximal.n, maximal.l, extra={"orthoplex": asdict(report)}
-    )
+    try:
+        maximal = extend_to_maximal(quorum)
+        report = orthoplex_report(maximal, tol=args.tol)
+    except ValueError as exc:
+        return _fail(str(exc), 2)
+    doc = projector_set_document(maximal, quorum.n, quorum.l, extra={"orthoplex": asdict(report)})
     return _emit(doc, args.out)
 
 
@@ -154,40 +154,41 @@ def _emit(doc: dict, out_path) -> int:
 
 def cmd_reference(args) -> int:
     name = args.name
-    if name in ("mub2", "mub3", "mub4"):
-        n = int(name[-1])
-        fam = mub_family(n)
-        try:
-            overlap_dev = verify_mub_family(fam)
-        except ValueError as exc:
-            return _fail(f"verification failed: {exc}", 1)
-        doc = {
-            "format_version": 1,
-            "kind": "mub_family",
-            "n": n,
-            "bases_count": len(fam.bases),
-            "max_cross_overlap_sq_deviation": overlap_dev,
-            "bases": [
-                [[float(z.real), float(z.imag)] for z in basis.T.reshape(-1)]
-                for basis in fam.bases
-            ],
-        }
-        return _emit(doc, args.out)
-    if name in ("n2-rank1", "n4-rank2"):
-        quorum = rank1_optimal_quorum_n2() if name == "n2-rank1" else halfdim_optimal_quorum_n4()
-        gram = gram_matrix(quorum)
-        report = report_from_gram(gram, quorum.n, quorum.l)
-        ub = report.upper_bound
-        if abs(report.quality - ub) > 1e-9 * ub or report.non_orthogonality_l > 1e-9:
-            return _fail(f"verification failed: quality {report.quality!r} vs bound {ub!r}", 1)
-        doc = projector_set_document(
-            quorum.projectors,
-            quorum.n,
-            quorum.l,
-            extra={"kind": name, "report": report_document(report, gram, quorum.n, quorum.l)},
-        )
-        return _emit(doc, args.out)
-    return _fail(f"unknown reference name {name!r}", 2)
+    try:
+        if name in ("mub2", "mub3", "mub4"):
+            n = int(name[-1])
+            bases = mub_family(n)
+            doc = {
+                "format_version": 1,
+                "kind": "mub_family",
+                "n": n,
+                "bases_count": len(bases),
+                "max_cross_overlap_sq_deviation": verify_mub_family(bases),
+                "bases": [
+                    [[float(z.real), float(z.imag)] for z in basis.T.reshape(-1)]
+                    for basis in bases
+                ],
+            }
+        elif name in ("n2-rank1", "n4-rank2"):
+            quorum = rank1_optimal_quorum_n2() if name == "n2-rank1" else halfdim_optimal_quorum_n4()
+            gram = gram_matrix(quorum)
+            report = report_from_gram(gram, quorum.n, quorum.l)
+            ub = report.upper_bound
+            # rounding leaves the exact quality and L = 0 within ~1e-15; a wrong
+            # basis vector moves some Tr(Q_a Q_b) by O(1/n): 1e-9 is far from both
+            if abs(report.quality - ub) > 1e-9 * ub or report.non_orthogonality_l > 1e-9:
+                raise ValueError(f"quality {report.quality!r} vs bound {ub!r}")
+            doc = projector_set_document(
+                quorum.projectors,
+                quorum.n,
+                quorum.l,
+                extra={"kind": name, "report": report_document(report, gram, quorum.n, quorum.l)},
+            )
+        else:
+            return _fail(f"unknown reference name {name!r}", 2)
+    except ValueError as exc:
+        return _fail(f"verification failed: {exc}", 1)
+    return _emit(doc, args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:

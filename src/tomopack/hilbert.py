@@ -83,12 +83,10 @@ def _angles_to_components(angles: np.ndarray) -> np.ndarray:
     wraps them.  The map is many-to-one at degenerate points: theta_1 = 0
     gives e_1 whatever the other angles are, so every phase is irrelevant
     there.  Harmless for optimization, worth knowing when comparing charts.
+    Blocks are not checked here: ``quorum_from_chart`` makes them finite
+    and of even length 2(n - l) >= 2.
     """
     angles = np.asarray(angles, dtype=float)
-    if angles.shape[-1] % 2 != 0 or angles.shape[-1] < 2:
-        raise ValueError(f"angle block length {angles.shape[-1]} is not even and >= 2")
-    if not np.all(np.isfinite(angles)):
-        raise ValueError("angles must be finite")
     half = angles.shape[-1] // 2
     d = half + 1
     thetas = angles[..., :half]

@@ -18,7 +18,6 @@ from .hilbert import Quorum
 __all__ = [
     "QualityResult",
     "MetricsReport",
-    "MaximalSet",
     "OrthoplexReport",
     "gram_matrix",
     "quality_from_gram",
@@ -55,18 +54,6 @@ class OrthoplexReport:
     at_bound_strict: int   # |d^2 - bound| <= 1e-10
     tol: float
     all_unbiased: bool
-
-
-@dataclass(frozen=True)
-class MaximalSet:
-    """A quorum together with its complements: 2(n^2 - 1) projectors.
-
-    Element j + (n^2 - 1) is exactly 1 - element j.
-    """
-
-    projectors: np.ndarray
-    n: int
-    l: int
 
 
 @dataclass(frozen=True)
@@ -136,7 +123,9 @@ def non_orthogonality_from_gram(gram: np.ndarray) -> tuple[float, float]:
 
 def orthoplex_report(projectors, tol: float = 1e-6) -> OrthoplexReport:
     """Summarize pairwise chordal distances of a projector set against the
-    orthoplex value l(n-l)/n."""
+    orthoplex value l(n-l)/n; a pair is at the bound when its d^2 is within tol."""
+    if not tol > 0:  # NaN fails too
+        raise ValueError(f"orthoplex tolerance must be positive, got {tol}")
     p = np.asarray(projectors, dtype=complex)
     if p.ndim != 3 or p.shape[0] < 2:
         raise ValueError("need at least two projectors of common shape")
@@ -159,18 +148,17 @@ def orthoplex_report(projectors, tol: float = 1e-6) -> OrthoplexReport:
     )
 
 
-def extend_to_maximal(q: Quorum) -> MaximalSet:
-    """Append the complements 1 - P_j, doubling the set to 2(n^2 - 1) elements.
+def extend_to_maximal(q: Quorum) -> np.ndarray:
+    """The quorum's projectors followed by their complements 1 - P_j.
 
-    Only defined for half-dimensional subspaces (l = n/2).
+    Returns a (2(n^2 - 1), n, n) array whose element j + (n^2 - 1) is
+    exactly 1 - element j.  Only defined for half-dimensional subspaces
+    (l = n/2).
     """
     if 2 * q.l != q.n:
         raise ValueError(f"complement extension needs l = n/2, got n={q.n}, l={q.l}")
-    eye = np.eye(q.n, dtype=complex)
-    complements = eye[None, :, :] - q.projectors
-    return MaximalSet(
-        projectors=np.concatenate([q.projectors, complements], axis=0), n=q.n, l=q.l
-    )
+    complements = np.eye(q.n, dtype=complex)[None, :, :] - q.projectors
+    return np.concatenate([q.projectors, complements], axis=0)
 
 
 def repetition_overhead(relative_deviation: float, n: int) -> float:

@@ -35,24 +35,22 @@ _STEP_FLOOR = 1e-6
 
 @dataclass(frozen=True)
 class PowellConfig:
-    """Stopping rules of one Powell run.
+    """Tolerances of one Powell run.
 
-    max_iterations counts full direction sweeps.  f_tol is the relative
-    objective decrease over a sweep below which the run stops; x_tol is the
-    line-search parameter tolerance: refinement stops once the minimum is
-    located within x_tol·|t| + max(x_tol, δ) on the line parameter t, where
-    δ is the line's resolution, the distance over which the bracket's
-    parabola changes f by one rounding unit.  How a line search brackets,
-    and its budget of 100 objective calls, are fixed (see ``line_minimize``).
+    f_tol is the relative objective decrease over a sweep below which the
+    run stops; x_tol is the line-search parameter tolerance: refinement
+    stops once the minimum is located within x_tol·|t| + max(x_tol, δ) on
+    the line parameter t, where δ is the line's resolution, the distance
+    over which the bracket's parabola changes f by one rounding unit.  How
+    a line search brackets, and its budget of 100 objective calls, are fixed
+    (see ``line_minimize``).  The sweep cap is ``powell_minimize``'s
+    ``max_sweeps``.
     """
 
-    max_iterations: int = 200
     f_tol: float = 1e-10
     x_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.max_iterations <= 0:
-            raise ValueError("max_iterations must be positive")
         if not (self.f_tol > 0 and self.x_tol > 0):  # NaN fails too
             raise ValueError("tolerances must be positive")
 
@@ -199,7 +197,9 @@ def _directions_degenerate(directions: np.ndarray) -> bool:
     return sign == 0 or logdet < np.log(1e-12)
 
 
-def powell_minimize(f, x0, cfg: PowellConfig = PowellConfig(), callback=None) -> PowellResult:
+def powell_minimize(
+    f, x0, cfg: PowellConfig = PowellConfig(), max_sweeps: int = 200, callback=None
+) -> PowellResult:
     """Minimize f from x0 by Powell's method of successive line searches.
 
     Each sweep line-minimizes along every direction in the current set,
@@ -207,7 +207,7 @@ def powell_minimize(f, x0, cfg: PowellConfig = PowellConfig(), callback=None) ->
     decide whether the sweep's net displacement replaces the direction of
     largest decrease.  The set is reset to the coordinate axes if it ever
     degenerates.  Stops when the relative decrease over a full sweep falls
-    below f_tol or after max_iterations sweeps.
+    below f_tol or after max_sweeps sweeps.
 
     Each direction keeps a signed start step for its line search: 1.0 at
     first, then after every line that moved x by t, twice |t| clipped to
@@ -217,6 +217,8 @@ def powell_minimize(f, x0, cfg: PowellConfig = PowellConfig(), callback=None) ->
 
     ``callback(x, fval, nfev, sweep)`` runs after every sweep.
     """
+    if max_sweeps <= 0:
+        raise ValueError(f"max_sweeps must be positive, got {max_sweeps}")
     x = np.array(x0, dtype=float).reshape(-1).copy()
     n = x.size
     nfev = 0
@@ -235,7 +237,7 @@ def powell_minimize(f, x0, cfg: PowellConfig = PowellConfig(), callback=None) ->
     history: list[float] = []
     converged = False
     nit = 0
-    for sweep in range(1, cfg.max_iterations + 1):
+    for sweep in range(1, max_sweeps + 1):
         nit = sweep
         f_start = f_cur
         x_start = x.copy()

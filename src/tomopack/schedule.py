@@ -9,8 +9,7 @@ tracked by quality, whatever the current phase objective is.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -201,7 +200,6 @@ def alternating_optimize(
         objective = objective_factory(kind, n, l)
         if kind == NEG_LOG_QUALITY:
             objective = _LowestSeen(objective)
-        phase_cfg = replace(cfg, max_iterations=sched.sweeps_for(kind))
 
         def record(xk, fval, nfev, sweep):
             qual, ln_l = consider(xk)
@@ -218,7 +216,7 @@ def alternating_optimize(
                 )
             )
 
-        result = powell_minimize(objective, x, phase_cfg, callback=record)
+        result = powell_minimize(objective, x, cfg, sched.sweeps_for(kind), callback=record)
         nfev_total += result.nfev
         if kind == NEG_LOG_QUALITY:
             consider(objective.chart)
@@ -259,6 +257,9 @@ def multi_restart(
     """
     tasks = [(sched.rng_seed + k, n, l, sched, cfg) for k in range(sched.restart_count)]
     if workers > 1:
+        # imported here so that importing tomopack does not pay for it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_restart, tasks))
     else:

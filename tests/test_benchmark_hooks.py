@@ -74,7 +74,8 @@ def test_powell_passes_f_origin_by_keyword(monkeypatch):
     tomopack.powell.powell_minimize(
         lambda x: float((x[0] - 1.0) ** 2 + 3.0 * (x[1] + x[0]) ** 2),
         np.array([0.3, 0.2]),
-        tomopack.powell.PowellConfig(max_iterations=4),
+        tomopack.powell.PowellConfig(),
+        4,
     )
     assert calls and all(calls)
 

@@ -21,7 +21,7 @@ def test_bundled_chart_is_near_optimal():
 def test_bundled_chart_extension_approaches_orthoplex():
     quorum = quorum_from_chart(bundled_chart_n6(), 6, 3)
     maximal = extend_to_maximal(quorum)
-    report = orthoplex_report(maximal.projectors, tol=1e-2)
+    report = orthoplex_report(maximal, tol=1e-2)
     # every pair except the 35 complementary ones sits within 1e-2 of 3/2
     assert report.pairs_total == 2415
     assert report.at_bound == 2380

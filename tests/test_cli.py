@@ -55,6 +55,8 @@ class TestOptimize:
             ["--seed", "-1"],
             ["--n", "3", "--l", "3"],
             ["--n", "1", "--l", "1"],
+            ["--workers", "0"],
+            ["--workers", "-3"],
         ],
     )
     def test_bad_flags_exit_2_without_files(self, capsys, tmp_path, flags):
@@ -121,6 +123,19 @@ class TestOptimize:
         assert code == 0
         doc = json.loads((tmp_path / "report.json").read_text())
         assert abs(doc["quality"] - upper_bound(2, 1)) < 1e-6
+
+    def test_resume_records_no_seed(self, capsys, n2_run, tmp_path):
+        # no seed drew a resumed chart; --seed (default 0) must not be recorded
+        source = json.loads((n2_run / "chart.json").read_text())
+        assert source["metadata"]["seed"] is not None
+        code, _out, _ = run_cli(
+            capsys,
+            "optimize", "--n", "2", "--l", "1", "--resume", str(n2_run / "chart.json"),
+            "--phases", "1", "--sweeps-per-phase", "2", "--out", str(tmp_path),
+        )
+        assert code == 0
+        doc = json.loads((tmp_path / "chart.json").read_text())
+        assert doc["metadata"]["seed"] is None
 
     def test_resume_dim_mismatch(self, capsys, n2_run, tmp_path):
         code, _out, err = run_cli(
@@ -269,6 +284,16 @@ class TestExtend:
         code, _out, err = run_cli(capsys, "extend", "--reference", "n8")
         assert code == 2
 
+    @pytest.mark.parametrize("tol", ["0", "-1e-6", "nan"])
+    def test_bad_tol_exits_2_without_files(self, capsys, tmp_path, tol):
+        out = tmp_path / "maximal.json"
+        code, _out, err = run_cli(
+            capsys, "extend", "--reference", "n4", f"--tol={tol}", "--out", str(out)
+        )
+        assert code == 2
+        assert "tolerance" in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestReference:
     @pytest.mark.parametrize("name,n", [("mub2", 2), ("mub3", 3), ("mub4", 4)])
@@ -295,6 +320,19 @@ class TestReference:
     def test_unknown_name(self, capsys):
         code, _out, err = run_cli(capsys, "reference", "bogus")
         assert code == 2
+
+    def test_broken_construction_exits_1(self, capsys, tmp_path, monkeypatch):
+        import tomopack.reference
+
+        # three copies of the standard basis: orthonormal, but not unbiased
+        monkeypatch.setattr(
+            tomopack.reference, "_mubs_dim2", lambda: [np.eye(2, dtype=complex)] * 3
+        )
+        target = tmp_path / "fam.json"
+        code, _out, err = run_cli(capsys, "reference", "mub2", "--out", str(target))
+        assert code == 1
+        assert err.startswith("error: verification failed")
+        assert list(tmp_path.iterdir()) == []
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "fam.json"
@@ -354,9 +392,8 @@ class TestOneGramPerReport:
     def test_reference_n4_builds_gram_once_after_construction(self, capsys, gram_calls):
         code, _out, _ = run_cli(capsys, "reference", "n4-rank2")
         assert code == 0
-        # one build is the construction's own orthogonality check inside
-        # halfdim_optimal_quorum_n4, one is the report's
-        assert len(gram_calls) == 2
+        # the report's; the construction does not check itself
+        assert len(gram_calls) == 1
 
     def test_optimize_builds_no_gram_beyond_search(self, capsys, tmp_path, monkeypatch, gram_calls):
         # one build per objective call and one per chart the schedule ranks

@@ -197,15 +197,15 @@ class TestExtendToMaximal:
     def test_counts_and_exact_complements(self):
         quorum = _random_quorum(seed=4)
         maximal = extend_to_maximal(quorum)
-        assert maximal.projectors.shape == (70, 6, 6)
+        assert maximal.shape == (70, 6, 6)
         expected = np.eye(6) - quorum.projectors
-        assert np.array_equal(maximal.projectors[35:], expected)
+        assert np.array_equal(maximal[35:], expected)
 
     def test_self_complement_distance(self):
         quorum = _random_quorum(seed=6)
         maximal = extend_to_maximal(quorum)
         for j in range(35):
-            d2 = chordal_distance_sq(maximal.projectors[j], maximal.projectors[j + 35])
+            d2 = chordal_distance_sq(maximal[j], maximal[j + 35])
             assert abs(d2 - 3.0) < 1e-12
 
     def test_rejects_non_half_dimensional(self):

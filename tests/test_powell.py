@@ -97,13 +97,10 @@ class TestLineMinimize:
 class TestPowellConfig:
     def test_defaults(self):
         cfg = PowellConfig()
-        assert cfg.max_iterations == 200
         assert cfg.f_tol == 1e-10
         assert cfg.x_tol == 1e-10
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            PowellConfig(max_iterations=0)
         with pytest.raises(ValueError):
             PowellConfig(f_tol=0.0)
         with pytest.raises(ValueError):
@@ -118,7 +115,7 @@ class TestPowellMinimize:
         assert res.converged
 
     def test_rosenbrock_standard_start(self):
-        res = powell_minimize(rosenbrock, np.array([-1.2, 1.0]), PowellConfig(max_iterations=200))
+        res = powell_minimize(rosenbrock, np.array([-1.2, 1.0]), PowellConfig(), 200)
         assert res.fun <= 1e-8
         assert res.nit <= 200
         assert np.allclose(res.x, [1.0, 1.0], atol=1e-4)
@@ -145,17 +142,25 @@ class TestPowellMinimize:
         with pytest.raises(ValueError):
             powell_minimize(lambda x: float("nan"), np.zeros(2))
 
-    def test_max_iterations_respected(self):
-        res = powell_minimize(rosenbrock, np.array([-1.2, 1.0]), PowellConfig(max_iterations=3))
+    def test_max_sweeps_respected(self):
+        res = powell_minimize(rosenbrock, np.array([-1.2, 1.0]), PowellConfig(), 3)
         assert res.nit == 3
         assert not res.converged
+
+    @pytest.mark.parametrize("max_sweeps", [0, -1])
+    def test_non_positive_max_sweeps_rejected(self, max_sweeps):
+        calls = []
+        with pytest.raises(ValueError, match="max_sweeps"):
+            powell_minimize(lambda x: calls.append(x) or 0.0, np.zeros(2), max_sweeps=max_sweeps)
+        assert calls == []
 
     def test_callback_sees_every_sweep(self):
         sweeps = []
         powell_minimize(
             rosenbrock,
             np.array([-1.2, 1.0]),
-            PowellConfig(max_iterations=5),
+            PowellConfig(),
+            5,
             callback=lambda x, f, nfev, sweep: sweeps.append((sweep, f)),
         )
         assert [s for s, _ in sweeps] == [1, 2, 3, 4, 5]
@@ -172,7 +177,8 @@ class TestPowellMinimize:
         powell_minimize(
             lambda x: float(np.sum(-np.cos(x - c))),
             np.zeros(4),
-            PowellConfig(max_iterations=2),
+            PowellConfig(),
+            2,
             callback=lambda x, f, n, sweep: nfev.append(n),
         )
         first = nfev[0] - 1  # less the evaluation at x0
@@ -200,7 +206,8 @@ class TestPowellMinimize:
         powell_minimize(
             lambda x: float((x - 0.1) @ a @ (x - 0.1) + np.sum((x - 0.1) ** 4)),
             np.array([0.7, -0.4, 0.9]),
-            PowellConfig(max_iterations=6),
+            PowellConfig(),
+            6,
         )
         resets = [k for k, (kind, _) in enumerate(events) if kind == "reset"]
         assert resets, "no direction was replaced"
@@ -224,6 +231,6 @@ class TestPowellMinimize:
         # 4-parameter quorum chart: the optimum is the analytic bound
         objective = make_objective(NEG_LOG_QUALITY, 2, 1)
         x0 = random_chart(np.random.default_rng(7), 2, 1)
-        res = powell_minimize(objective, x0, PowellConfig(max_iterations=200))
+        res = powell_minimize(objective, x0, PowellConfig(), 200)
         target = -np.log(upper_bound(2, 1))
         assert res.fun <= target + 1e-6

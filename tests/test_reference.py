@@ -24,16 +24,16 @@ from oracles import CHART_N2_ORACLE, chordal_distance_sq
 def extend_and_verify_n4(tol=1e-10):
     """Complement-extend the n=4 oracle to 30 projectors and verify the packing.
 
-    Returns (MaximalSet, OrthoplexReport).  Every non-complementary pair sits
+    Returns (the 30 projectors, OrthoplexReport).  Every non-complementary pair sits
     at d^2 = 1 and complementary pairs at d^2 = 2.
     """
     q = halfdim_optimal_quorum_n4()
     maximal = extend_to_maximal(q)
-    report = orthoplex_report(maximal.projectors, tol=tol)
+    report = orthoplex_report(maximal, tol=tol)
     m = len(q)
     comp_d2 = np.array(
         [
-            2.0 - np.einsum("ab,ba->", maximal.projectors[j], maximal.projectors[j + m]).real
+            2.0 - np.einsum("ab,ba->", maximal[j], maximal[j + m]).real
             for j in range(m)
         ]
     )
@@ -44,36 +44,36 @@ def extend_and_verify_n4(tol=1e-10):
 class TestMubFamilies:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_family_size_and_invariants(self, n):
-        fam = mub_family(n)
-        assert len(fam.bases) == n + 1
-        verify_mub_family(fam, tol=1e-12)
+        bases = mub_family(n)
+        assert len(bases) == n + 1
+        verify_mub_family(bases, tol=1e-12)
 
     def test_cross_overlaps_exact_value(self):
-        fam = mub_family(3)
+        bases = mub_family(3)
         for a in range(4):
             for b in range(a + 1, 4):
-                ov = np.abs(fam.bases[a].conj().T @ fam.bases[b]) ** 2
+                ov = np.abs(bases[a].conj().T @ bases[b]) ** 2
                 assert np.max(np.abs(ov - 1.0 / 3.0)) <= 1e-12
 
     def test_verify_returns_largest_cross_deviation(self):
-        fam = mub_family(4)
+        bases = mub_family(4)
         worst = max(
-            np.max(np.abs(np.abs(fam.bases[a].conj().T @ fam.bases[b]) ** 2 - 0.25))
+            np.max(np.abs(np.abs(bases[a].conj().T @ bases[b]) ** 2 - 0.25))
             for a in range(5)
             for b in range(a + 1, 5)
         )
-        assert verify_mub_family(fam) == worst
+        assert verify_mub_family(bases) == worst
 
     def test_unsupported_dimension(self):
         with pytest.raises(ValueError):
             mub_family(5)
 
     def test_qubit_family_is_the_textbook_one(self):
-        fam = mub_family(2)
+        bases = mub_family(2)
         s = 1 / np.sqrt(2)
-        assert np.allclose(fam.bases[0], np.eye(2))
-        assert np.allclose(np.abs(fam.bases[1]), s)
-        assert np.allclose(np.abs(fam.bases[2]), s)
+        assert np.allclose(bases[0], np.eye(2))
+        assert np.allclose(np.abs(bases[1]), s)
+        assert np.allclose(np.abs(bases[2]), s)
 
 
 class TestRank1OracleN2:
@@ -126,7 +126,7 @@ class TestHalfdimOracleN4:
 class TestMaximalExtensionN4:
     def test_thirty_elements_and_distances(self):
         maximal, report = extend_and_verify_n4()
-        assert maximal.projectors.shape == (30, 4, 4)
+        assert maximal.shape == (30, 4, 4)
         # only complementary pairs (distance 2) miss the bound
         assert report.pairs_total == 435
         assert report.at_bound == 420
@@ -134,8 +134,7 @@ class TestMaximalExtensionN4:
 
     def test_cross_pair_identity(self):
         # d^2(P_i, 1 - P_j) equals Tr(P_i P_j) for half-dimensional ranks
-        maximal, _ = extend_and_verify_n4()
-        p = maximal.projectors
+        p, _ = extend_and_verify_n4()
         for i, j in [(0, 1), (2, 9), (5, 14)]:
             d2 = chordal_distance_sq(p[i], p[j + 15])
             tr = np.einsum("ab,ba->", p[i], p[j]).real

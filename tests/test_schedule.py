@@ -17,7 +17,7 @@ from tomopack.schedule import (
 
 from oracles import CHART_N2_ORACLE
 
-FAST = PowellConfig(max_iterations=200, f_tol=1e-12, x_tol=1e-10)
+FAST = PowellConfig(f_tol=1e-12, x_tol=1e-10)
 
 
 def _runs(mr):
@@ -105,11 +105,7 @@ class TestAlternatingOptimize:
         x0 = random_chart(np.random.default_rng(1), 2, 1)
         sched = ScheduleConfig(phase_length=50, total_phases=1)
         res = alternating_optimize(x0, 2, 1, sched, FAST, objective_factory=factory)
-        ref = powell_minimize(
-            factory(NEG_LOG_QUALITY, 2, 1),
-            x0,
-            PowellConfig(max_iterations=50, f_tol=FAST.f_tol, x_tol=FAST.x_tol),
-        )
+        ref = powell_minimize(factory(NEG_LOG_QUALITY, 2, 1), x0, FAST, 50)
         assert [r.objective for r in res.trace] == ref.history
         assert np.array_equal(res.final_chart, ref.x)
 
