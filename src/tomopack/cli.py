@@ -118,12 +118,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_extend(args) -> int:
     if args.reference is not None:
-        if args.reference != "n4":
-            return _fail(f"unknown reference set {args.reference!r} (expected 'n4')", 2)
         quorum = halfdim_optimal_quorum_n4()
     else:
-        if args.chart is None:
-            return _fail("need a chart path or --reference n4", 2)
         try:
             angles, n, l, _meta = read_chart(args.chart)
         except (OSError, ChartFileError) as exc:
@@ -169,7 +165,7 @@ def cmd_reference(args) -> int:
                     for basis in bases
                 ],
             }
-        elif name in ("n2-rank1", "n4-rank2"):
+        else:
             quorum = rank1_optimal_quorum_n2() if name == "n2-rank1" else halfdim_optimal_quorum_n4()
             gram = gram_matrix(quorum)
             report = report_from_gram(gram, quorum.n, quorum.l)
@@ -184,8 +180,6 @@ def cmd_reference(args) -> int:
                 quorum.l,
                 extra={"kind": name, "report": report_document(report, gram, quorum.n, quorum.l)},
             )
-        else:
-            return _fail(f"unknown reference name {name!r}", 2)
     except ValueError as exc:
         return _fail(f"verification failed: {exc}", 1)
     return _emit(doc, args.out)
@@ -224,22 +218,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_ext = sub.add_parser("extend", help="complement-extend a half-dimensional quorum")
-    p_ext.add_argument("chart", nargs="?", default=None, help="chart JSON file (l = n/2)")
-    p_ext.add_argument("--reference", default=None, help="use a built-in set instead (n4)")
+    source = p_ext.add_mutually_exclusive_group(required=True)
+    source.add_argument("chart", nargs="?", default=None, help="chart JSON file (l = n/2)")
+    source.add_argument("--reference", choices=["n4"], help="use a built-in set instead")
     p_ext.add_argument("--tol", type=float, default=1e-6, help="orthoplex tolerance on d^2")
     p_ext.add_argument("--out", default=None, help="output file (default stdout)")
     p_ext.set_defaults(func=cmd_extend)
 
     p_ref = sub.add_parser("reference", help="emit an analytic construction with verification")
-    p_ref.add_argument("name", help="one of mub2, mub3, mub4, n2-rank1, n4-rank2")
+    p_ref.add_argument("name", choices=["mub2", "mub3", "mub4", "n2-rank1", "n4-rank2"])
     p_ref.add_argument("--out", default=None, help="output file (default stdout)")
     p_ref.set_defaults(func=cmd_reference)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on bad flags, 0 after --help
+        return exc.code
     return args.func(args)
 
 

@@ -161,8 +161,6 @@ def projector_from_vectors(*vectors) -> np.ndarray:
     worst offender.
     """
     vs = np.asarray(vectors, dtype=complex)
-    if vs.ndim == 3 and vs.shape[0] == 1:
-        vs = vs[0]
     overlaps = vs @ vs.conj().T
     off = overlaps - np.diag(np.diag(overlaps))
     worst = np.max(np.abs(off)) if off.size else 0.0

@@ -8,7 +8,7 @@ it is finite at the start point.  Everything is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,12 +65,12 @@ class LineResult:
 
 @dataclass
 class PowellResult:
-    x: np.ndarray
-    fun: float
+    x: np.ndarray       # where the run ended
+    fun: float          # f(x)
     nit: int
     nfev: int
     converged: bool
-    history: list = field(default_factory=list)  # objective after each sweep
+    x_best: np.ndarray  # the lowest point the run evaluated (x or a passed-over point)
 
 
 def line_minimize(
@@ -216,6 +216,12 @@ def powell_minimize(
     resets every step to 1.0.
 
     ``callback(x, fval, nfev, sweep)`` runs after every sweep.
+
+    Every accepted line minimum becomes x, and a line search returns the
+    lowest point it sampled, so the only evaluated points that can lie below
+    the final x are extrapolated points 2x - x_start that the direction test
+    passed over.  ``x_best`` is the lowest of those if it lies below f(x),
+    otherwise x; the run itself never moves there.
     """
     if max_sweeps <= 0:
         raise ValueError(f"max_sweeps must be positive, got {max_sweeps}")
@@ -234,7 +240,7 @@ def powell_minimize(
 
     directions = np.eye(n)
     steps = np.ones(n)  # signed start step of each direction's line search
-    history: list[float] = []
+    x_skip, f_skip = None, np.inf  # lowest passed-over extrapolated point
     converged = False
     nit = 0
     for sweep in range(1, max_sweeps + 1):
@@ -260,7 +266,6 @@ def powell_minimize(
             if f_prev - f_cur > delta:
                 delta = f_prev - f_cur
                 big = i
-        history.append(f_cur)
         if callback is not None:
             callback(x, f_cur, nfev, sweep)
         if 2.0 * (f_start - f_cur) <= cfg.f_tol * (abs(f_start) + abs(f_cur)) + _TINY:
@@ -269,7 +274,10 @@ def powell_minimize(
         # Powell's test on the extrapolated point 2x - x_start decides whether
         # the sweep displacement is worth keeping as a search direction.
         disp = x - x_start
-        f_ext = ff(x + disp)
+        x_ext = x + disp
+        f_ext = ff(x_ext)
+        if f_ext < min(f_cur, f_skip):
+            x_skip, f_skip = x_ext, f_ext
         if f_ext < f_start:
             t = 2.0 * (f_start - 2.0 * f_cur + f_ext) * (f_start - f_cur - delta) ** 2
             t -= delta * (f_start - f_ext) ** 2
@@ -293,4 +301,5 @@ def powell_minimize(
                     if _directions_degenerate(directions):
                         directions = np.eye(n)
                         steps[:] = 1.0
-    return PowellResult(x=x, fun=f_cur, nit=nit, nfev=nfev, converged=converged, history=history)
+    x_best = x_skip if f_skip < f_cur else x
+    return PowellResult(x=x, fun=f_cur, nit=nit, nfev=nfev, converged=converged, x_best=x_best)

@@ -133,27 +133,6 @@ def random_chart(rng: np.random.Generator, n: int = 6, l: int = 3) -> np.ndarray
     return np.concatenate([thetas, phis], axis=-1).reshape(-1)
 
 
-def _chart_metrics(chart, n, l):
-    g = gram_matrix(quorum_from_chart(chart, n, l))
-    qual = quality_from_gram(g)
-    _, ln_l = non_orthogonality_from_gram(g)
-    return g, qual, ln_l
-
-
-class _LowestSeen:
-    """An objective that remembers the chart of its lowest value."""
-
-    def __init__(self, objective):
-        self.objective = objective
-        self.value, self.chart = np.inf, None
-
-    def __call__(self, chart):
-        value = self.objective(chart)
-        if value < self.value:
-            self.value, self.chart = value, np.array(chart, dtype=float, copy=True)
-        return value
-
-
 def alternating_optimize(
     chart0,
     n: int = 6,
@@ -168,9 +147,11 @@ def alternating_optimize(
     best-ever chart ranked by quality, with its full metrics report and a
     per-sweep trace.  The report is computed from the Gram matrix built
     when that chart was first ranked, which the result also carries.
-    Candidates are the chart at the end of every sweep and,
-    per volume phase, the chart of lowest objective value that Powell
-    evaluated (it may have evaluated a better point than it moved to).
+    Candidates are the chart at the end of every sweep and, per volume
+    phase, Powell's ``x_best``, the lowest point it evaluated (it may have
+    evaluated a better point than it moved to).  Phase 1 is a volume phase
+    and its ``x_best`` is never above the start chart, so the start chart
+    needs no ranking of its own.
     ``objective_factory(kind, n, l)`` exists so tests can substitute a
     sanity objective; candidates are still ranked by quality.
     """
@@ -179,27 +160,25 @@ def alternating_optimize(
     trace: list[TraceRecord] = []
     nfev_total = 0
 
-    best_chart, best_gram, best_log_quality = x.copy(), None, -np.inf
+    best_chart, best_gram, best_log_quality = None, None, -np.inf
 
     def consider(xk):
         """Metrics of xk; keeps xk and its Gram matrix as the best if its
         quality is the highest yet (log-quality is always finite, so the
         first chart considered is kept)."""
         nonlocal best_log_quality, best_chart, best_gram
-        gram, qual, ln_l = _chart_metrics(xk, n, l)
+        gram = gram_matrix(quorum_from_chart(xk, n, l))
+        qual = quality_from_gram(gram)
+        _, ln_l = non_orthogonality_from_gram(gram)
         if qual.log_quality > best_log_quality:
             best_log_quality = qual.log_quality
             best_chart = np.array(xk, dtype=float, copy=True)
             best_gram = gram
         return qual, ln_l
 
-    consider(x)
-
     for phase in range(1, sched.total_phases + 1):
         kind = NEG_LOG_QUALITY if phase % 2 == 1 else LOG_L
         objective = objective_factory(kind, n, l)
-        if kind == NEG_LOG_QUALITY:
-            objective = _LowestSeen(objective)
 
         def record(xk, fval, nfev, sweep):
             qual, ln_l = consider(xk)
@@ -219,7 +198,7 @@ def alternating_optimize(
         result = powell_minimize(objective, x, cfg, sched.sweeps_for(kind), callback=record)
         nfev_total += result.nfev
         if kind == NEG_LOG_QUALITY:
-            consider(objective.chart)
+            consider(result.x_best)
         x = result.x
 
     return AlternatingResult(

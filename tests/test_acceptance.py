@@ -171,7 +171,8 @@ def test_property_suites():
 
     # Powell monotonicity per sweep
     rosen = lambda x: 100.0 * (x[1] - x[0] ** 2) ** 2 + (1 - x[0]) ** 2
-    history = powell_minimize(rosen, np.array([-1.2, 1.0])).history
+    history = []
+    powell_minimize(rosen, np.array([-1.2, 1.0]), callback=lambda x, f, n, s: history.append(f))
     assert all(history[k + 1] <= history[k] + 1e-12 for k in range(len(history) - 1))
 
     # determinism under fixed seeds

@@ -65,6 +65,13 @@ class TestOptimize:
         assert err.startswith("error: invalid flags")
         assert list(tmp_path.iterdir()) == []
 
+    def test_unparseable_flag_returns_2(self, capsys, tmp_path):
+        # argparse's own errors come back as main's exit code, not SystemExit
+        code, _out, err = run_cli(capsys, "optimize", "--n", "x", "--out", str(tmp_path))
+        assert code == 2
+        assert "invalid int value" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_n2_reaches_analytic_optimum(self, n2_run, capsys):
         code, out, _ = run_cli(capsys, "evaluate", str(n2_run / "chart.json"))
         assert code == 0
@@ -284,6 +291,18 @@ class TestExtend:
         code, _out, err = run_cli(capsys, "extend", "--reference", "n8")
         assert code == 2
 
+    def test_chart_and_reference_together_rejected(self, capsys, tmp_path):
+        path = tmp_path / "chart.json"
+        write_chart(path, np.zeros(chart_length(4, 2)), 4, 2)
+        out = tmp_path / "maximal.json"
+        code, stdout, err = run_cli(
+            capsys, "extend", str(path), "--reference", "n4", "--out", str(out)
+        )
+        assert code == 2
+        assert "not allowed" in err
+        assert stdout == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["chart.json"]
+
     @pytest.mark.parametrize("tol", ["0", "-1e-6", "nan"])
     def test_bad_tol_exits_2_without_files(self, capsys, tmp_path, tol):
         out = tmp_path / "maximal.json"
@@ -397,7 +416,7 @@ class TestOneGramPerReport:
 
     def test_optimize_builds_no_gram_beyond_search(self, capsys, tmp_path, monkeypatch, gram_calls):
         # one build per objective call and one per chart the schedule ranks
-        # (the start chart, one per sweep, the phase's lowest-seen chart);
+        # (one per sweep and the volume phase's x_best);
         # the report and report.json reuse the winner's Gram matrix
         import tomopack.schedule
 
@@ -416,4 +435,4 @@ class TestOneGramPerReport:
         )
         assert code == 0
         assert len(nfev) == 1
-        assert len(gram_calls) == nfev[0] + 3
+        assert len(gram_calls) == nfev[0] + 2

@@ -121,8 +121,8 @@ class TestPowellMinimize:
         assert np.allclose(res.x, [1.0, 1.0], atol=1e-4)
 
     def test_history_non_increasing(self):
-        res = powell_minimize(rosenbrock, np.array([-1.2, 1.0]))
-        h = np.array(res.history)
+        h = []
+        powell_minimize(rosenbrock, np.array([-1.2, 1.0]), callback=lambda x, f, n, s: h.append(f))
         assert np.all(np.diff(h) <= 1e-12)
 
     def test_never_above_start(self):
@@ -132,11 +132,12 @@ class TestPowellMinimize:
         assert powell_minimize(f, x0).fun <= f(x0)
 
     def test_deterministic(self):
-        a = powell_minimize(rosenbrock, np.array([-1.2, 1.0]))
-        b = powell_minimize(rosenbrock, np.array([-1.2, 1.0]))
+        ha, hb = [], []
+        a = powell_minimize(rosenbrock, np.array([-1.2, 1.0]), callback=lambda x, f, n, s: ha.append(f))
+        b = powell_minimize(rosenbrock, np.array([-1.2, 1.0]), callback=lambda x, f, n, s: hb.append(f))
         assert a.fun == b.fun
         assert np.array_equal(a.x, b.x)
-        assert a.history == b.history
+        assert ha == hb
 
     def test_non_finite_start_rejected(self):
         with pytest.raises(ValueError):
@@ -234,3 +235,24 @@ class TestPowellMinimize:
         res = powell_minimize(objective, x0, PowellConfig(), 200)
         target = -np.log(upper_bound(2, 1))
         assert res.fun <= target + 1e-6
+
+    def test_x_best_is_lowest_evaluated(self):
+        # the direction test evaluates 2x - x_start and may pass over it
+        # although it lies below where the run ends; x_best must be the
+        # lowest value the objective ever returned, wherever the run stopped
+        objective = make_objective(NEG_LOG_QUALITY, 3, 1)
+        cfg = PowellConfig(x_tol=1e-9, f_tol=1e-12)
+        passed_over = 0
+        for seed in range(12):
+            x0 = random_chart(np.random.default_rng(seed), 3, 1)
+            for sweeps in (1, 2, 3):
+                values = []
+
+                def recorded(x):
+                    values.append(objective(x))
+                    return values[-1]
+
+                res = powell_minimize(recorded, x0, cfg, sweeps)
+                assert objective(res.x_best) == min(values)
+                passed_over += not np.array_equal(res.x_best, res.x)
+        assert passed_over > 0  # the case the test is about does occur
