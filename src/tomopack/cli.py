@@ -12,7 +12,6 @@ Exit codes: 0 success, 2 bad flags or malformed/unsupported input,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import asdict
@@ -21,9 +20,9 @@ from .fileio import (
     ChartFileError,
     projector_set_document,
     read_chart,
-    replacing,
     report_document,
     write_chart,
+    write_json,
     write_report,
     write_trace_csv,
 )
@@ -71,6 +70,11 @@ def cmd_optimize(args) -> int:
         cfg = PowellConfig(f_tol=args.f_tol, x_tol=args.x_tol)
         if args.workers < 1:
             raise ValueError(f"--workers must be at least 1, got {args.workers}")
+        # a resumed run refines its one chart, in this process
+        if args.resume is not None and (args.restarts, args.seed, args.workers) != (
+            ScheduleConfig.restart_count, ScheduleConfig.rng_seed, 1
+        ):
+            raise ValueError("--restarts, --seed and --workers do not apply to --resume")
     except ValueError as exc:
         return _fail(f"invalid flags: {exc}", 2)
     out_dir = args.out
@@ -96,9 +100,12 @@ def cmd_optimize(args) -> int:
     chart_path = os.path.join(out_dir, "chart.json")
     report_path = os.path.join(out_dir, "report.json")
     trace_path = os.path.join(out_dir, "trace.csv")
-    write_chart(chart_path, result.chart, args.n, args.l, seed=result.seed)
-    write_report(report_path, result.report, result.gram, args.n, args.l)
-    write_trace_csv(trace_path, result.trace)
+    try:
+        write_chart(chart_path, result.chart, args.n, args.l, seed=result.seed)
+        write_report(report_path, result.report, result.gram, args.n, args.l)
+        write_trace_csv(trace_path, result.trace)
+    except OSError as exc:
+        return _fail(f"cannot write to output directory {out_dir}: {exc}", 3)
     _print_summary(result.report)
     print(f"wrote {chart_path}, {report_path}, {trace_path}")
     return 0
@@ -110,9 +117,7 @@ def cmd_evaluate(args) -> int:
     except (OSError, ChartFileError) as exc:
         return _fail(str(exc), 2)
     gram = gram_matrix(quorum_from_chart(angles, n, l))
-    doc = report_document(report_from_gram(gram, n, l), gram, n, l)
-    json.dump(doc, sys.stdout, indent=2)
-    print()
+    write_json(None, report_document(report_from_gram(gram, n, l), gram, n, l), indent=2)
     return 0
 
 
@@ -127,7 +132,7 @@ def cmd_extend(args) -> int:
         quorum = quorum_from_chart(angles, n, l)
     try:
         maximal = extend_to_maximal(quorum)
-        report = orthoplex_report(maximal, tol=args.tol)
+        report = orthoplex_report(maximal, args.tol)
     except ValueError as exc:
         return _fail(str(exc), 2)
     doc = projector_set_document(maximal, quorum.n, quorum.l, extra={"orthoplex": asdict(report)})
@@ -135,14 +140,8 @@ def cmd_extend(args) -> int:
 
 
 def _emit(doc: dict, out_path) -> int:
-    payload = json.dumps(doc)
-    if out_path is None:
-        print(payload)
-        return 0
     try:
-        with replacing(out_path) as fh:
-            fh.write(payload)
-            fh.write("\n")
+        write_json(out_path, doc)
     except OSError as exc:
         return _fail(f"cannot write {out_path}: {exc}", 3)
     return 0
@@ -194,17 +193,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt = sub.add_parser("optimize", help="search for a high-quality quorum")
     p_opt.add_argument("--n", type=int, default=6, help="Hilbert space dimension")
     p_opt.add_argument("--l", type=int, default=3, help="projector rank")
-    p_opt.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    p_opt.add_argument("--restarts", type=int, default=4, help="independent random restarts")
-    p_opt.add_argument("--phases", type=int, default=20, help="alternating objective phases")
-    p_opt.add_argument("--sweeps-per-phase", type=int, default=200, help="Powell sweeps per phase")
+    sc, pc = ScheduleConfig, PowellConfig  # the defaults are the config classes' own
+    p_opt.add_argument("--seed", type=int, default=sc.rng_seed, help="base RNG seed")
+    p_opt.add_argument("--restarts", type=int, default=sc.restart_count, help="independent random restarts")
+    p_opt.add_argument("--phases", type=int, default=sc.total_phases, help="alternating objective phases")
+    p_opt.add_argument("--sweeps-per-phase", type=int, default=sc.phase_length, help="Powell sweeps per phase")
     p_opt.add_argument(
-        "--l-sweeps-per-phase", type=int, default=None,
+        "--l-sweeps-per-phase", type=int, default=sc.l_phase_length,
         help="separate sweep cap for the ln(L) phases (default: same as --sweeps-per-phase)",
     )
-    p_opt.add_argument("--f-tol", type=float, default=1e-10, help="Powell relative objective tolerance")
+    p_opt.add_argument("--f-tol", type=float, default=pc.f_tol, help="Powell relative objective tolerance")
     p_opt.add_argument(
-        "--x-tol", type=float, default=1e-10,
+        "--x-tol", type=float, default=pc.x_tol,
         help="line-search parameter tolerance; refinement also stops at the line's resolution, "
         "where f changes by less than one rounding unit",
     )

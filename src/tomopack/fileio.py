@@ -12,7 +12,7 @@ import contextlib
 import csv
 import json
 import os
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 from datetime import datetime, timezone
 
 import numpy as np
@@ -29,10 +29,11 @@ __all__ = [
     "write_report",
     "write_trace_csv",
     "projector_set_document",
-    "replacing",
+    "write_json",
 ]
 
 FORMAT_VERSION = 1
+# schedule.TraceRecord's fields in order; csv writes floats as str, their shortest round-trip form
 TRACE_COLUMNS = [
     "phase", "iteration", "objective_kind", "objective", "quality", "ln_L", "evaluations", "elapsed_s",
 ]
@@ -62,6 +63,16 @@ def replacing(path, newline=None):
         raise
 
 
+def write_json(path, doc: dict, indent=None) -> None:
+    """``doc`` as JSON, to ``path`` through ``replacing``, or to stdout when ``path`` is None."""
+    if path is None:
+        print(json.dumps(doc, indent=indent))
+        return
+    with replacing(path) as fh:
+        json.dump(doc, fh, indent=indent)
+        fh.write("\n")
+
+
 def chart_document(angles, n: int, l: int, seed=None) -> dict:
     angles = np.asarray(angles, dtype=float).reshape(-1)
     return {
@@ -79,9 +90,7 @@ def chart_document(angles, n: int, l: int, seed=None) -> dict:
 
 
 def write_chart(path, angles, n: int, l: int, seed=None) -> None:
-    with replacing(path) as fh:
-        json.dump(chart_document(angles, n, l, seed=seed), fh)
-        fh.write("\n")
+    write_json(path, chart_document(angles, n, l, seed=seed))
 
 
 def read_chart(path) -> tuple[np.ndarray, int, int, dict]:
@@ -128,35 +137,21 @@ def report_document(report: MetricsReport, gram: np.ndarray, n: int, l: int) -> 
     doc = {"format_version": FORMAT_VERSION, "n": int(n), "l": int(l)}
     doc.update(asdict(report))
     doc["worst_pairs"] = [
-        {"i": i, "j": j, "abs_gram": value} for i, j, value in worst_pairs(gram, 10)
+        {"i": i, "j": j, "abs_gram": value} for i, j, value in worst_pairs(gram)
     ]
     return doc
 
 
 def write_report(path, report: MetricsReport, gram: np.ndarray, n: int, l: int) -> None:
-    with replacing(path) as fh:
-        json.dump(report_document(report, gram, n, l), fh, indent=2)
-        fh.write("\n")
+    write_json(path, report_document(report, gram, n, l), indent=2)
 
 
 def write_trace_csv(path, trace) -> None:
-    """Trace rows to CSV with the documented column set."""
+    """One row per ``TraceRecord``, under TRACE_COLUMNS."""
     with replacing(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_COLUMNS)
-        for rec in trace:
-            writer.writerow(
-                [
-                    rec.phase,
-                    rec.iteration,
-                    rec.objective_kind,
-                    repr(rec.objective),
-                    repr(rec.quality),
-                    repr(rec.ln_l),
-                    rec.evaluations,
-                    repr(rec.elapsed_s),
-                ]
-            )
+        writer.writerows(astuple(rec) for rec in trace)
 
 
 def _matrix_to_interleaved(matrix: np.ndarray) -> list:
@@ -168,15 +163,13 @@ def _matrix_to_interleaved(matrix: np.ndarray) -> list:
     return [float(v) for v in out]
 
 
-def projector_set_document(projectors: np.ndarray, n: int, l: int, extra: dict | None = None) -> dict:
-    doc = {
+def projector_set_document(projectors: np.ndarray, n: int, l: int, extra: dict) -> dict:
+    return {
         "format_version": FORMAT_VERSION,
         "n": int(n),
         "l": int(l),
         "count": int(projectors.shape[0]),
         "layout": "row-major, re/im interleaved",
         "projectors": [_matrix_to_interleaved(p) for p in projectors],
+        **extra,
     }
-    if extra:
-        doc.update(extra)
-    return doc

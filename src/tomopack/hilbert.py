@@ -64,9 +64,6 @@ class Quorum:
                 f"expected ({m}, {self.n}, {self.n})"
             )
 
-    def __len__(self) -> int:
-        return self.projectors.shape[0]
-
 
 def _angles_to_components(angles: np.ndarray) -> np.ndarray:
     """Map angle blocks (..., 2d-2) to complex unit vectors (..., d).

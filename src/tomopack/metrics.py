@@ -34,6 +34,8 @@ __all__ = [
 # Eigenvalues of the Gram matrix below this are clamped before taking logs,
 # so the optimizer can traverse rank-deficient regions without blowing up.
 EIG_CLAMP = 1e-14
+# Pairs a report lists by |Tr(Q_i Q_j)|, the least orthogonal first.
+WORST_PAIR_COUNT = 10
 
 
 class QualityResult(NamedTuple):
@@ -44,14 +46,13 @@ class QualityResult(NamedTuple):
 
 @dataclass(frozen=True)
 class OrthoplexReport:
-    """Pairwise chordal-distance summary against the bound l(n-l)/n."""
+    """Non-complementary chordal distances of an extension against l(n-l)/n."""
 
     bound: float
     min_d2: float
     max_d2: float
     pairs_total: int
-    at_bound: int          # |d^2 - bound| <= tol
-    at_bound_strict: int   # |d^2 - bound| <= 1e-10
+    at_bound: int   # |d^2 - bound| <= tol
     tol: float
     all_unbiased: bool
 
@@ -121,19 +122,25 @@ def non_orthogonality_from_gram(gram: np.ndarray) -> tuple[float, float]:
     return l_sum, ln_l
 
 
-def orthoplex_report(projectors, tol: float = 1e-6) -> OrthoplexReport:
-    """Summarize pairwise chordal distances of a projector set against the
-    orthoplex value l(n-l)/n; a pair is at the bound when its d^2 is within tol."""
+def orthoplex_report(maximal: np.ndarray, tol: float) -> OrthoplexReport:
+    """Chordal distances of a complement extension, laid out as
+    ``extend_to_maximal`` returns it, against the orthoplex value l(n-l)/n.
+
+    Of its 2m projectors (m = n^2 - 1, l = n/2) the m complement pairs sit at
+    d^2 = l by construction; the other 2m(m - 1) pairs are scored, and one is
+    at the bound when its d^2 is within tol.
+    """
     if not tol > 0:  # NaN fails too
         raise ValueError(f"orthoplex tolerance must be positive, got {tol}")
-    p = np.asarray(projectors, dtype=complex)
-    if p.ndim != 3 or p.shape[0] < 2:
-        raise ValueError("need at least two projectors of common shape")
+    p = np.asarray(maximal, dtype=complex)
     n = p.shape[-1]
-    l = float(np.round(np.trace(p[0]).real))
-    d2 = l - _pairwise_hs(p)
-    iu = np.triu_indices(p.shape[0], k=1)
-    vals = d2[iu]
+    m = n * n - 1
+    if p.shape != (2 * m, n, n) or n % 2:
+        raise ValueError(f"need a complement extension, shape (2(n^2-1), n, n) for even n; got {p.shape}")
+    l = n / 2
+    i, j = np.triu_indices(2 * m, k=1)
+    scored = j != i + m
+    vals = (l - _pairwise_hs(p))[i[scored], j[scored]]
     bound = l * (n - l) / n
     dev = np.abs(vals - bound)
     return OrthoplexReport(
@@ -142,7 +149,6 @@ def orthoplex_report(projectors, tol: float = 1e-6) -> OrthoplexReport:
         max_d2=float(vals.max()),
         pairs_total=int(vals.size),
         at_bound=int(np.count_nonzero(dev <= tol)),
-        at_bound_strict=int(np.count_nonzero(dev <= 1e-10)),
         tol=tol,
         all_unbiased=bool(np.all(dev <= tol)),
     )
@@ -171,11 +177,11 @@ def repetition_overhead(relative_deviation: float, n: int) -> float:
     return (2.0 / (n * n - 1)) * relative_deviation / (1.0 - relative_deviation)
 
 
-def worst_pairs(gram: np.ndarray, count: int = 10) -> list[tuple[int, int, float]]:
-    """The `count` largest |Tr(Q_i Q_j)| over pairs i < j, sorted descending."""
+def worst_pairs(gram: np.ndarray) -> list[tuple[int, int, float]]:
+    """The WORST_PAIR_COUNT largest |Tr(Q_i Q_j)| over pairs i < j, sorted descending."""
     iu = np.triu_indices(gram.shape[0], k=1)
     vals = np.abs(gram[iu])
-    order = np.argsort(vals)[::-1][:count]
+    order = np.argsort(vals)[::-1][:WORST_PAIR_COUNT]
     return [(int(iu[0][k]), int(iu[1][k]), float(vals[k])) for k in order]
 
 

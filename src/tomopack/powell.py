@@ -183,8 +183,6 @@ def line_minimize(
                 fv, fw = fw, fu
             elif fu <= fv or v == x or v == w:
                 v, fv = u, fu
-    if fx > f0:
-        return LineResult(t=0.0, fval=f0, evals=evals, bracketed=True)
     return LineResult(t=x, fval=fx, evals=evals, bracketed=True)
 
 

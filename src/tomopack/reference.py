@@ -82,22 +82,27 @@ def mub_family(n: int) -> list:
     raise ValueError(f"no MUB construction implemented for n={n}")
 
 
-def verify_mub_family(bases: list, tol: float = 1e-12) -> float:
-    """Check orthonormality within bases and |overlap|^2 = 1/n across bases.
+# The bases are built from 1/sqrt(n) and roots of unity, so rounding moves
+# their inner products by ~1e-16; a wrong vector moves some by O(1/n).
+MUB_TOL = 1e-12
+
+
+def verify_mub_family(bases: list) -> float:
+    """Check orthonormality within bases and |overlap|^2 = 1/n across bases, to MUB_TOL.
 
     Returns the largest cross-basis deviation of |overlap|^2 from 1/n.
     """
     n = bases[0].shape[0]
     for idx, b in enumerate(bases):
         dev = np.max(np.abs(b.conj().T @ b - np.eye(n)))
-        if dev > tol:
+        if dev > MUB_TOL:
             raise ValueError(f"basis {idx} is not orthonormal (deviation {dev:.3e})")
     worst = 0.0
     for a in range(len(bases)):
         for b in range(a + 1, len(bases)):
             ov = np.abs(bases[a].conj().T @ bases[b]) ** 2
             dev = float(np.max(np.abs(ov - 1.0 / n)))
-            if dev > tol:
+            if dev > MUB_TOL:
                 raise ValueError(
                     f"bases {a} and {b} are not unbiased (deviation {dev:.3e})"
                 )

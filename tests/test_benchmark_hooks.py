@@ -4,6 +4,7 @@ fails at start-up."""
 
 import ast
 import importlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import tomopack
+import tomopack.fileio
 import tomopack.metrics
 import tomopack.powell
 import tomopack.schedule
@@ -38,6 +40,15 @@ def test_workloads_import():
     # fails here instead of in every benchmark run
     workloads = _import_from_tomobench("workloads")
     assert set(workloads.WORKLOADS) == {"n4_search", "n6_refine", "n6_report"}
+
+
+def test_writer_calls_bind():
+    # the calls the workloads make into fileio, as tomobench/workloads.py
+    # writes them; a writer whose signature no longer takes them fails here
+    fileio = tomopack.fileio
+    inspect.signature(fileio.write_chart).bind("chart.json", np.zeros(612), 6, 3)
+    inspect.signature(fileio.write_report).bind("report.json", None, np.eye(35), 6, 3)
+    inspect.signature(fileio.write_trace_csv).bind("trace.csv", [])
 
 
 def test_setup_code_names_resolve():

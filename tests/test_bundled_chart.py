@@ -21,11 +21,15 @@ def test_bundled_chart_is_near_optimal():
 def test_bundled_chart_extension_approaches_orthoplex():
     quorum = quorum_from_chart(bundled_chart_n6(), 6, 3)
     maximal = extend_to_maximal(quorum)
-    report = orthoplex_report(maximal, tol=1e-2)
-    # every pair except the 35 complementary ones sits within 1e-2 of 3/2
-    assert report.pairs_total == 2415
+    report = orthoplex_report(maximal, 1e-2)
+    # the 35 complementary pairs sit at d^2 = 3 by construction and are not
+    # scored; every other pair sits within 1e-2 of 3/2.  The extremes are
+    # sums of 36 products, so rounding moves them by ~1e-15.
+    assert report.pairs_total == 2380
     assert report.at_bound == 2380
-    assert abs(report.max_d2 - 3.0) < 1e-12
+    assert report.all_unbiased
+    assert abs(report.min_d2 - 1.4979908575430558) <= 1e-12
+    assert abs(report.max_d2 - 1.5020091424569442) <= 1e-12
 
 
 def test_bundled_chart_evaluates_through_cli(capsys):

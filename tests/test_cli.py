@@ -72,6 +72,28 @@ class TestOptimize:
         assert "invalid int value" in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_unwritable_output_exits_3_without_temporary_files(self, capsys, tmp_path):
+        (tmp_path / "chart.json").mkdir()
+        code, out, err = run_cli(
+            capsys, "optimize", "--n", "2", "--l", "1", "--restarts", "1", "--phases", "1",
+            "--sweeps-per-phase", "2", "--out", str(tmp_path),
+        )
+        assert code == 3
+        assert err.startswith(f"error: cannot write to output directory {tmp_path}")
+        assert out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["chart.json"]
+
+    @pytest.mark.parametrize("flags", [["--restarts", "8"], ["--seed", "5"], ["--workers", "2"]])
+    def test_resume_rejects_flags_it_ignores(self, capsys, n2_run, tmp_path, flags):
+        code, _out, err = run_cli(
+            capsys,
+            "optimize", "--n", "2", "--l", "1", "--resume", str(n2_run / "chart.json"),
+            *flags, "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert err.startswith("error: invalid flags") and "--resume" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_n2_reaches_analytic_optimum(self, n2_run, capsys):
         code, out, _ = run_cli(capsys, "evaluate", str(n2_run / "chart.json"))
         assert code == 0
@@ -272,9 +294,15 @@ class TestExtend:
         assert code == 0
         doc = json.loads(out)
         assert doc["count"] == 30
+        # the 15 complement pairs sit at d^2 = 2 by construction and are not
+        # scored; the other 420 are the exact n = 4 oracle's, all at 1
         ortho = doc["orthoplex"]
+        assert ortho["pairs_total"] == 420
         assert ortho["at_bound"] == 420
         assert abs(ortho["min_d2"] - 1.0) < 1e-10
+        assert ortho["max_d2"] == 1.0
+        assert ortho["all_unbiased"] is True
+        assert "at_bound_strict" not in ortho
 
     def test_non_half_dimensional_chart_rejected(self, capsys, tmp_path):
         path = tmp_path / "c62.json"

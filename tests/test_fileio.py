@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from tomopack.fileio import (
+    TRACE_COLUMNS,
     ChartFileError,
     chart_document,
     read_chart,
@@ -117,6 +119,19 @@ class TestTraceCsv:
         first = lines[1].split(",")
         assert first[0] == "1" and first[2] == "neg_log_quality"
         assert float(first[3]) == -1.5
+
+    def test_columns_are_the_record_fields(self):
+        # each row is the record's fields in order; only ln_l is spelled ln_L
+        fields = [f.name for f in dataclasses.fields(TraceRecord)]
+        assert [c.replace("ln_L", "ln_l") for c in TRACE_COLUMNS] == fields
+
+    def test_floats_round_trip(self, tmp_path):
+        values = [0.1, 1 / 3, -1e-300, float("-inf")]
+        path = tmp_path / "trace.csv"
+        write_trace_csv(path, [TraceRecord(1, 1, "log_l", v, v, v, 1, v) for v in values])
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        assert [float(row[3]) for row in rows] == values
+        assert [row[5] for row in rows] == [repr(v) for v in values]
 
 
 class TestCrashSafeWrites:

@@ -179,7 +179,7 @@ class TestQuorumFromChart:
 
     def test_zero_chart(self):
         quorum = quorum_from_chart(np.zeros(612))
-        assert len(quorum) == 35
+        assert len(quorum.projectors) == 35
         assert np.array_equal(quorum.projectors[0], fixed_first_projector(6, 3))
         for p in quorum.projectors:
             validate_projector(p, l=3, tol=1e-10)
@@ -207,9 +207,9 @@ class TestQuorumFromChart:
 
     def test_small_dimensions(self):
         q2 = quorum_from_chart(np.zeros(chart_length(2, 1)), 2, 1)
-        assert len(q2) == 3
+        assert len(q2.projectors) == 3
         q4 = quorum_from_chart(np.zeros(chart_length(4, 2)), 4, 2)
-        assert len(q4) == 15
+        assert len(q4.projectors) == 15
 
     def test_quorum_shape_guard(self):
         with pytest.raises(ValueError):

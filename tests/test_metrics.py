@@ -176,21 +176,35 @@ class TestChordalDistance:
 
 class TestOrthoplex:
     def test_n4_oracle_all_at_bound(self):
-        report = orthoplex_report(halfdim_optimal_quorum_n4().projectors, tol=1e-10)
+        report = orthoplex_report(extend_to_maximal(halfdim_optimal_quorum_n4()), 1e-10)
         assert report.bound == 1.0
-        assert report.pairs_total == 105
-        assert report.at_bound == 105
+        assert report.pairs_total == 420
+        assert report.at_bound == 420
         assert report.all_unbiased
 
-    def test_complement_pair_is_not_unbiased(self):
-        p = fixed_first_projector(6, 3)
-        report = orthoplex_report(np.stack([p, np.eye(6, dtype=complex) - p]))
-        assert abs(report.min_d2 - 3.0) < 1e-12
-        assert not report.all_unbiased
+    def test_complement_pairs_not_scored(self):
+        maximal = extend_to_maximal(_random_quorum(seed=8))
+        report = orthoplex_report(maximal, 1e-6)
+        d2 = [
+            chordal_distance_sq(maximal[i], maximal[j])
+            for i in range(70)
+            for j in range(i + 1, 70)
+            if j != i + 35
+        ]
+        assert report.pairs_total == len(d2) == 2380
+        assert abs(report.min_d2 - min(d2)) <= 1e-12
+        assert abs(report.max_d2 - max(d2)) <= 1e-12
+        assert report.max_d2 < 3.0 - 1e-3
 
-    def test_needs_two(self):
-        with pytest.raises(ValueError):
-            orthoplex_report(fixed_first_projector(6, 3)[None])
+    @pytest.mark.parametrize("shape", ["quorum", "one", "odd_n"])
+    def test_non_extension_rejected(self, shape):
+        projectors = {
+            "quorum": _random_quorum(seed=8).projectors,
+            "one": fixed_first_projector(6, 3)[None],
+            "odd_n": np.stack([fixed_first_projector(3, 1)] * 16),
+        }[shape]
+        with pytest.raises(ValueError, match="complement extension"):
+            orthoplex_report(projectors, 1e-6)
 
 
 class TestExtendToMaximal:
@@ -249,7 +263,7 @@ class TestUnitaryInvariance:
 class TestReportHelpers:
     def test_worst_pairs_sorted(self):
         g = gram_matrix(_random_quorum(seed=9))
-        pairs = worst_pairs(g, 10)
+        pairs = worst_pairs(g)
         assert len(pairs) == 10
         values = [v for _, _, v in pairs]
         assert values == sorted(values, reverse=True)
@@ -279,8 +293,8 @@ class TestReportHelpers:
             p = quorum.projectors
             d2 = [
                 chordal_distance_sq(p[i], p[j])
-                for i in range(len(quorum))
-                for j in range(i + 1, len(quorum))
+                for i in range(len(p))
+                for j in range(i + 1, len(p))
             ]
             assert abs(report.min_chordal_sq - min(d2)) <= 1e-12
             assert abs(report.max_chordal_sq - max(d2)) <= 1e-12

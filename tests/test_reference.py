@@ -29,8 +29,8 @@ def extend_and_verify_n4(tol=1e-10):
     """
     q = halfdim_optimal_quorum_n4()
     maximal = extend_to_maximal(q)
-    report = orthoplex_report(maximal, tol=tol)
-    m = len(q)
+    report = orthoplex_report(maximal, tol)
+    m = len(q.projectors)
     comp_d2 = np.array(
         [
             2.0 - np.einsum("ab,ba->", maximal[j], maximal[j + m]).real
@@ -46,7 +46,7 @@ class TestMubFamilies:
     def test_family_size_and_invariants(self, n):
         bases = mub_family(n)
         assert len(bases) == n + 1
-        verify_mub_family(bases, tol=1e-12)
+        verify_mub_family(bases)
 
     def test_cross_overlaps_exact_value(self):
         bases = mub_family(3)
@@ -96,7 +96,7 @@ class TestRank1OracleN2:
 class TestHalfdimOracleN4:
     def test_count_and_quality(self):
         quorum = halfdim_optimal_quorum_n4()
-        assert len(quorum) == 15
+        assert len(quorum.projectors) == 15
         res = evaluate_quorum(quorum)
         assert abs(res.quality - 1.0) <= 1e-10
         assert res.non_orthogonality_l <= 1e-10
@@ -117,7 +117,7 @@ class TestHalfdimOracleN4:
         assert abs(tr - 1.0) < 1e-12
 
     def test_orthoplex_all_pairs_at_bound(self):
-        report = orthoplex_report(halfdim_optimal_quorum_n4().projectors, tol=1e-10)
+        report = orthoplex_report(extend_to_maximal(halfdim_optimal_quorum_n4()), 1e-10)
         assert report.all_unbiased
         assert abs(report.min_d2 - 1.0) < 1e-10
         assert abs(report.max_d2 - 1.0) < 1e-10
@@ -127,10 +127,12 @@ class TestMaximalExtensionN4:
     def test_thirty_elements_and_distances(self):
         maximal, report = extend_and_verify_n4()
         assert maximal.shape == (30, 4, 4)
-        # only complementary pairs (distance 2) miss the bound
-        assert report.pairs_total == 435
+        # the 15 complementary pairs (distance 2) are not scored; all others sit at the bound
+        assert report.pairs_total == 420
         assert report.at_bound == 420
+        assert report.all_unbiased
         assert abs(report.min_d2 - 1.0) < 1e-10
+        assert abs(report.max_d2 - 1.0) < 1e-10
 
     def test_cross_pair_identity(self):
         # d^2(P_i, 1 - P_j) equals Tr(P_i P_j) for half-dimensional ranks
