@@ -3,12 +3,7 @@ quantum state tomography via Grassmannian packings of projector subspaces."""
 
 __version__ = "0.1.0"
 
-from .hilbert import (
-    Quorum,
-    chart_length,
-    projector_from_vectors,
-    quorum_from_chart,
-)
+from .hilbert import Quorum, chart_length, quorum_from_chart, random_chart
 from .metrics import (
     MetricsReport,
     evaluate_quorum,
@@ -25,7 +20,6 @@ from .schedule import (
     alternating_optimize,
     make_objective,
     multi_restart,
-    random_chart,
 )
 from .reference import (
     bundled_chart_n6,

@@ -82,6 +82,12 @@ def cmd_optimize(args) -> int:
         return _fail(f"output directory does not exist: {out_dir}", 3)
     if not os.access(out_dir, os.W_OK):
         return _fail(f"output directory is not writable: {out_dir}", 3)
+    targets = [os.path.join(out_dir, name) for name in ("chart.json", "report.json", "trace.csv")]
+    chart_path, report_path, trace_path = targets
+    # a search can run for hours: refuse a target that cannot be replaced before it starts
+    blocked = [p for p in targets if os.path.isdir(p)]
+    if blocked:
+        return _fail(f"cannot write to output directory {out_dir}: {blocked[0]} is a directory", 3)
 
     if args.resume is not None:
         try:
@@ -97,9 +103,6 @@ def cmd_optimize(args) -> int:
         mr = multi_restart(sched, cfg, n=args.n, l=args.l, workers=args.workers)
         result = mr.best
 
-    chart_path = os.path.join(out_dir, "chart.json")
-    report_path = os.path.join(out_dir, "report.json")
-    trace_path = os.path.join(out_dir, "trace.csv")
     try:
         write_chart(chart_path, result.chart, args.n, args.l, seed=result.seed)
         write_report(report_path, result.report, result.gram, args.n, args.l)

@@ -64,13 +64,16 @@ def replacing(path, newline=None):
 
 
 def write_json(path, doc: dict, indent=None) -> None:
-    """``doc`` as JSON, to ``path`` through ``replacing``, or to stdout when ``path`` is None."""
+    """``doc`` as JSON, to ``path`` through ``replacing``, or to stdout when ``path`` is None.
+
+    The document is encoded once, with ``json.dumps``, for either sink.
+    """
+    text = json.dumps(doc, indent=indent)
     if path is None:
-        print(json.dumps(doc, indent=indent))
+        print(text)
         return
     with replacing(path) as fh:
-        json.dump(doc, fh, indent=indent)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def chart_document(angles, n: int, l: int, seed=None) -> dict:
@@ -80,7 +83,7 @@ def chart_document(angles, n: int, l: int, seed=None) -> dict:
         "n": int(n),
         "l": int(l),
         "fixed_first": True,
-        "angles": [float(a) for a in angles],
+        "angles": angles.tolist(),
         "metadata": {
             "seed": seed,
             "created": datetime.now(timezone.utc).isoformat(),
@@ -154,22 +157,14 @@ def write_trace_csv(path, trace) -> None:
         writer.writerows(astuple(rec) for rec in trace)
 
 
-def _matrix_to_interleaved(matrix: np.ndarray) -> list:
-    """Row-major flattening with re/im interleaved per entry."""
-    flat = matrix.reshape(-1)
-    out = np.empty(2 * flat.size, dtype=float)
-    out[0::2] = flat.real
-    out[1::2] = flat.imag
-    return [float(v) for v in out]
-
-
 def projector_set_document(projectors: np.ndarray, n: int, l: int, extra: dict) -> dict:
+    interleaved = np.ascontiguousarray(projectors, dtype=complex).view(float)  # re, im per entry
     return {
         "format_version": FORMAT_VERSION,
         "n": int(n),
         "l": int(l),
         "count": int(projectors.shape[0]),
         "layout": "row-major, re/im interleaved",
-        "projectors": [_matrix_to_interleaved(p) for p in projectors],
+        "projectors": interleaved.reshape(len(projectors), -1).tolist(),
         **extra,
     }

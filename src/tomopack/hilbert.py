@@ -1,34 +1,31 @@
 """Angle charts, orthonormal embeddings, and rank-l projectors.
 
 A measurement quorum on an n-dimensional complex Hilbert space is a set of
-m = n^2 - 1 rank-l projectors.  The first projector is pinned to
-diag(1,...,1,0,...,0); each remaining projector is parametrized by l unit
+m = n^2 - 1 rank-l projectors.  Each projector is parametrized by l unit
 vectors drawn from (n-l+1)-dimensional subspaces, chosen sequentially so the
-vectors come out pairwise orthogonal.  Every function here is pure and
-deterministic: the same chart always produces bit-identical projectors.
+vectors come out pairwise orthogonal.  The first projector is pinned: it is
+the image of the all-zero angle block, which places e_1..e_l and so gives
+diag(1,...,1,0,...,0) exactly.  Every projector goes through one private
+batched assembly, ``_projectors``; there is no public projector helper.
+Every function here is pure and deterministic: the same chart always
+produces bit-identical projectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
     "Quorum",
-    "params_per_vector",
     "chart_length",
-    "projector_from_vectors",
+    "random_chart",
     "quorum_from_chart",
 ]
 
-# Composed operations (embedding plus projector assembly) get this much slack;
-# exact algebraic identities are checked at 1e-12 where they appear.
-TOL_COMPOSED = 1e-10
 
-
-def params_per_vector(n: int, l: int) -> int:
+def _params_per_vector(n: int, l: int) -> int:
     """Real parameters per chart vector: 2d - 2 angles for a d-dim ray."""
     return 2 * (n - l)
 
@@ -37,11 +34,20 @@ def chart_length(n: int, l: int) -> int:
     """Total number of real parameters for a quorum chart with fixed first projector."""
     if not (isinstance(n, int) and isinstance(l, int) and 1 <= l < n):
         raise ValueError(f"invalid dimensions n={n}, l={l}; need 1 <= l < n")
-    return (n * n - 2) * l * params_per_vector(n, l)
+    return (n * n - 2) * l * _params_per_vector(n, l)
 
 
 # The headline case: 34 free projectors x 3 vectors x 6 angles.
 assert chart_length(6, 3) == 612
+
+
+def random_chart(rng: np.random.Generator, n: int = 6, l: int = 3) -> np.ndarray:
+    """Uniform random chart: thetas in [0, pi/2), phases in [0, 2 pi)."""
+    m_free = n * n - 2
+    half = _params_per_vector(n, l) // 2
+    thetas = rng.uniform(0.0, np.pi / 2.0, size=(m_free, l, half))
+    phis = rng.uniform(0.0, 2.0 * np.pi, size=(m_free, l, half))
+    return np.concatenate([thetas, phis], axis=-1).reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -151,35 +157,23 @@ def _embed_batch(components: np.ndarray, n: int, l: int) -> np.ndarray:
     return out
 
 
-def projector_from_vectors(*vectors) -> np.ndarray:
-    """Orthogonal projector onto the span of pairwise-orthogonal unit vectors.
+def _projectors(vs: np.ndarray) -> np.ndarray:
+    """Projectors onto the spans of orthonormal tuples: (B, l, n) -> (B, n, n).
 
-    Raises ValueError if any pairwise overlap exceeds 1e-10, reporting the
-    worst offender.
+    Sums v v^dag over each tuple, then averages with the conjugate transpose
+    so the result is Hermitian bit for bit.  The tuples are not checked:
+    every caller builds them orthonormal.
     """
-    vs = np.asarray(vectors, dtype=complex)
-    overlaps = vs @ vs.conj().T
-    off = overlaps - np.diag(np.diag(overlaps))
-    worst = np.max(np.abs(off)) if off.size else 0.0
-    if worst > TOL_COMPOSED:
-        raise ValueError(f"input vectors are not orthogonal: max overlap {worst:.3e}")
-    p = np.einsum("ki,kj->ij", vs, vs.conj())
-    return 0.5 * (p + p.conj().T)
-
-
-@lru_cache(maxsize=None)
-def _fixed_first_cached(n: int, l: int) -> np.ndarray:
-    p = np.diag(np.concatenate([np.ones(l), np.zeros(n - l)])).astype(complex)
-    p.setflags(write=False)
-    return p
+    p = np.einsum("bki,bkj->bij", vs, vs.conj())
+    return 0.5 * (p + p.conj().transpose(0, 2, 1))
 
 
 def quorum_from_chart(chart, n: int = 6, l: int = 3) -> Quorum:
     """Build the full m = n^2 - 1 projector quorum from a flat angle chart.
 
-    Element 0 is diag(1,..,1,0,..,0); elements 1..m-1 come from consecutive
-    blocks of l * 2(n-l) angles, each block embedded into an orthonormal
-    l-tuple and summed into a projector.
+    Element j >= 1 comes from the j-th consecutive block of l * 2(n-l)
+    angles, embedded into an orthonormal l-tuple and summed into a projector.
+    Element 0 is the image of an all-zero block, diag(1,..,1,0,..,0).
     """
     chart = np.asarray(chart, dtype=float).reshape(-1)
     expected = chart_length(n, l)
@@ -189,11 +183,7 @@ def quorum_from_chart(chart, n: int = 6, l: int = 3) -> Quorum:
         )
     if not np.all(np.isfinite(chart)):
         raise ValueError("chart contains non-finite values")
-    m_free = n * n - 2
-    blocks = chart.reshape(m_free, l, params_per_vector(n, l))
-    components = _angles_to_components(blocks)
-    vs = _embed_batch(components, n, l)  # (m_free, l, n)
-    p = np.einsum("bki,bkj->bij", vs, vs.conj())
-    p = 0.5 * (p + p.conj().transpose(0, 2, 1))
-    projectors = np.concatenate([_fixed_first_cached(n, l)[None, :, :], p], axis=0)
-    return Quorum(projectors=projectors, n=n, l=l)
+    blocks = np.zeros((n * n - 1, l, _params_per_vector(n, l)))
+    blocks[1:] = chart.reshape(n * n - 2, l, -1)
+    vs = _embed_batch(_angles_to_components(blocks), n, l)  # (m, l, n)
+    return Quorum(projectors=_projectors(vs), n=n, l=l)

@@ -15,7 +15,7 @@ from importlib import resources
 
 import numpy as np
 
-from .hilbert import Quorum, projector_from_vectors
+from .hilbert import Quorum, _projectors
 
 __all__ = [
     "mub_family",
@@ -116,10 +116,8 @@ def rank1_optimal_quorum_n2() -> Quorum:
     Projects onto |0>, |+>, |+i>; attains the quality bound (1/2)^(3/2)
     with zero non-orthogonality.
     """
-    bases = mub_family(2)
-    vectors = [bases[0][:, 0], bases[1][:, 0], bases[2][:, 0]]
-    projectors = np.stack([projector_from_vectors(v) for v in vectors])
-    return Quorum(projectors=projectors, n=2, l=1)
+    vs = np.array([[b[:, 0]] for b in mub_family(2)])
+    return Quorum(projectors=_projectors(vs), n=2, l=1)
 
 
 def halfdim_optimal_quorum_n4() -> Quorum:
@@ -130,12 +128,8 @@ def halfdim_optimal_quorum_n4() -> Quorum:
     same-basis pairs satisfy Tr(P_a P_b) = 1, and unbiasedness makes all
     cross-basis pairs satisfy the same, so every Tr(Q_a Q_b) vanishes.
     """
-    projectors = [
-        projector_from_vectors(b[:, 0], b[:, partner])
-        for b in mub_family(4)
-        for partner in (1, 2, 3)
-    ]
-    return Quorum(projectors=np.stack(projectors), n=4, l=2)
+    vs = np.array([[b[:, 0], b[:, partner]] for b in mub_family(4) for partner in (1, 2, 3)])
+    return Quorum(projectors=_projectors(vs), n=4, l=2)
 
 
 def bundled_chart_n6() -> np.ndarray:

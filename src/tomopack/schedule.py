@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import params_per_vector, quorum_from_chart
+from .hilbert import quorum_from_chart, random_chart
 from .metrics import (
     MetricsReport,
     evaluate_quorum,  # not called here; kept for tomobench, whose traced run replaces it
@@ -33,7 +33,6 @@ __all__ = [
     "AlternatingResult",
     "MultiRestartResult",
     "make_objective",
-    "random_chart",
     "alternating_optimize",
     "multi_restart",
 ]
@@ -122,15 +121,6 @@ def make_objective(kind: str, n: int, l: int):
     else:
         raise ValueError(f"unknown objective kind {kind!r}")
     return objective
-
-
-def random_chart(rng: np.random.Generator, n: int = 6, l: int = 3) -> np.ndarray:
-    """Uniform random chart: thetas in [0, pi/2), phases in [0, 2 pi)."""
-    m_free = n * n - 2
-    half = params_per_vector(n, l) // 2
-    thetas = rng.uniform(0.0, np.pi / 2.0, size=(m_free, l, half))
-    phis = rng.uniform(0.0, 2.0 * np.pi, size=(m_free, l, half))
-    return np.concatenate([thetas, phis], axis=-1).reshape(-1)
 
 
 def alternating_optimize(

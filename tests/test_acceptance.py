@@ -21,9 +21,8 @@ from tomopack.schedule import (
     ScheduleConfig,
     alternating_optimize,
     multi_restart,
-    random_chart,
 )
-from tomopack.hilbert import Quorum
+from tomopack.hilbert import Quorum, random_chart
 
 from oracles import chordal_distance_sq, quality_from_det, traceless_part
 

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+import tomopack.cli
 from tomopack.cli import main
 from tomopack.fileio import read_chart, write_chart
 from tomopack.hilbert import chart_length, quorum_from_chart
@@ -72,8 +73,10 @@ class TestOptimize:
         assert "invalid int value" in err
         assert list(tmp_path.iterdir()) == []
 
-    def test_unwritable_output_exits_3_without_temporary_files(self, capsys, tmp_path):
+    def test_unwritable_output_exits_3_without_temporary_files(self, capsys, tmp_path, monkeypatch):
         (tmp_path / "chart.json").mkdir()
+        searches = []
+        monkeypatch.setattr(tomopack.cli, "multi_restart", lambda *a, **k: searches.append(a))
         code, out, err = run_cli(
             capsys, "optimize", "--n", "2", "--l", "1", "--restarts", "1", "--phases", "1",
             "--sweeps-per-phase", "2", "--out", str(tmp_path),
@@ -82,6 +85,7 @@ class TestOptimize:
         assert err.startswith(f"error: cannot write to output directory {tmp_path}")
         assert out == ""
         assert [p.name for p in tmp_path.iterdir()] == ["chart.json"]
+        assert searches == []  # refused before the search, not after it
 
     @pytest.mark.parametrize("flags", [["--restarts", "8"], ["--seed", "5"], ["--workers", "2"]])
     def test_resume_rejects_flags_it_ignores(self, capsys, n2_run, tmp_path, flags):

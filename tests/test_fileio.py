@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import tomopack.fileio
 from tomopack.fileio import (
     TRACE_COLUMNS,
     ChartFileError,
@@ -140,11 +141,20 @@ class TestCrashSafeWrites:
         write_chart(path, np.linspace(0.0, 1.0, 4), 2, 1, seed=1)
         before = path.read_bytes()
 
-        def half_dump(obj, fh, **kwargs):
-            fh.write('{"format_version": 1, "n": ')
-            raise RuntimeError("interrupted mid-write")
+        def half_writing_open(file, mode="r", **kwargs):
+            """``open`` whose file stores half of the first text written, then fails."""
+            fh = open(file, mode, **kwargs)
+            write = fh.write
 
-        monkeypatch.setattr(json, "dump", half_dump)
+            def half_write(text):
+                write(text[: len(text) // 2])
+                fh.flush()
+                raise RuntimeError("interrupted mid-write")
+
+            fh.write = half_write
+            return fh
+
+        monkeypatch.setattr(tomopack.fileio, "open", half_writing_open, raising=False)
         with pytest.raises(RuntimeError):
             write_chart(path, np.zeros(4), 2, 1)
         assert path.read_bytes() == before

@@ -6,9 +6,9 @@ from tomopack.hilbert import (
     _angles_to_components,
     _embed_batch,
     _householder_complement,
+    _params_per_vector,
+    _projectors,
     chart_length,
-    params_per_vector,
-    projector_from_vectors,
     quorum_from_chart,
 )
 
@@ -26,7 +26,7 @@ def validate_projector(p, l, tol):
 def embed_orthonormal_vectors(angles, n, l):
     """The l pairwise-orthogonal unit vectors in C^n, shape (l, n), that one
     projector's block of l * 2(n-l) angles places."""
-    blocks = np.asarray(angles, dtype=float).reshape(1, l, params_per_vector(n, l))
+    blocks = np.asarray(angles, dtype=float).reshape(1, l, _params_per_vector(n, l))
     return _embed_batch(_angles_to_components(blocks), n, l)[0]
 
 
@@ -130,24 +130,16 @@ class TestComplementBasis:
 class TestProjectors:
     def test_canonical_basis_triple(self):
         eye = np.eye(6, dtype=complex)
-        p = projector_from_vectors(eye[0], eye[1], eye[2])
+        p, p2 = _projectors(np.stack([eye[:3], eye[3:]]))
         assert np.allclose(p, np.diag([1, 1, 1, 0, 0, 0]), atol=1e-15)
-        p2 = projector_from_vectors(eye[3], eye[4], eye[5])
         assert np.allclose(p2, np.diag([0, 0, 0, 1, 1, 1]), atol=1e-15)
         assert np.allclose(p + p2, np.eye(6), atol=1e-15)
 
     def test_random_triples_satisfy_invariants(self):
         rng = np.random.default_rng(21)
-        for _ in range(200):
-            vs = embed_orthonormal_vectors(rng.uniform(-5, 5, 18), 6, 3)
-            p = projector_from_vectors(*vs)
+        vs = np.stack([embed_orthonormal_vectors(rng.uniform(-5, 5, 18), 6, 3) for _ in range(200)])
+        for p in _projectors(vs):
             validate_projector(p, l=3, tol=1e-10)
-
-    def test_non_orthogonal_inputs_rejected(self):
-        e = np.eye(6, dtype=complex)
-        skew = (e[0] + e[1]) / np.sqrt(2)
-        with pytest.raises(ValueError, match="overlap"):
-            projector_from_vectors(e[0], skew, e[2])
 
 
 class TestTracelessPart:
@@ -171,7 +163,7 @@ class TestQuorumFromChart:
         assert chart_length(6, 3) == 612
         assert chart_length(2, 1) == 4
         assert chart_length(4, 2) == 112
-        assert params_per_vector(6, 3) == 6
+        assert _params_per_vector(6, 3) == 6
 
     def test_invalid_dims(self):
         with pytest.raises(ValueError):
@@ -190,6 +182,7 @@ class TestQuorumFromChart:
         first = quorum_from_chart(chart)
         second = quorum_from_chart(chart)
         assert np.array_equal(first.projectors, second.projectors)
+        assert np.array_equal(first.projectors[0], fixed_first_projector(6, 3))
         for p in first.projectors:
             validate_projector(p, l=3, tol=1e-10)
 
@@ -210,6 +203,10 @@ class TestQuorumFromChart:
         assert len(q2.projectors) == 3
         q4 = quorum_from_chart(np.zeros(chart_length(4, 2)), 4, 2)
         assert len(q4.projectors) == 15
+        rng = np.random.default_rng(4)
+        for n, l in [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3), (5, 2)]:
+            quorum = quorum_from_chart(rng.uniform(-7, 7, chart_length(n, l)), n, l)
+            assert np.array_equal(quorum.projectors[0], fixed_first_projector(n, l))
 
     def test_quorum_shape_guard(self):
         with pytest.raises(ValueError):

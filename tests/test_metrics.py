@@ -3,8 +3,8 @@ import pytest
 
 from tomopack.hilbert import (
     Quorum,
+    _projectors,
     chart_length,
-    projector_from_vectors,
     quorum_from_chart,
 )
 from tomopack.metrics import (
@@ -151,8 +151,8 @@ class TestChordalDistance:
     def test_unbiased_pair_in_dim6(self):
         p = fixed_first_projector(6, 3)
         eye = np.eye(6, dtype=complex)
-        vs = [(eye[k] + eye[k + 3]) / np.sqrt(2) for k in range(3)]
-        other = projector_from_vectors(*vs)
+        vs = (eye[:3] + eye[3:]) / np.sqrt(2)
+        (other,) = _projectors(vs[None])
         assert abs(chordal_distance_sq(p, other) - 1.5) < 1e-12
 
     def test_dim_mismatch(self):

@@ -3,9 +3,10 @@ import pytest
 
 import tomopack.powell
 from tomopack import bundled_chart_n6
+from tomopack.hilbert import random_chart
 from tomopack.metrics import upper_bound
 from tomopack.powell import LineResult, PowellConfig, line_minimize, powell_minimize
-from tomopack.schedule import NEG_LOG_QUALITY, make_objective, random_chart
+from tomopack.schedule import NEG_LOG_QUALITY, make_objective
 
 
 def rosenbrock(x):

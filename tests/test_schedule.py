@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tomopack.hilbert import quorum_from_chart
+from tomopack.hilbert import quorum_from_chart, random_chart
 from tomopack.metrics import evaluate_quorum, gram_matrix, upper_bound
 from tomopack.powell import PowellConfig, powell_minimize
 from tomopack.schedule import (
@@ -12,7 +12,6 @@ from tomopack.schedule import (
     alternating_optimize,
     make_objective,
     multi_restart,
-    random_chart,
 )
 
 from oracles import CHART_N2_ORACLE
