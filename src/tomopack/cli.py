@@ -18,6 +18,7 @@ from dataclasses import asdict
 
 from .fileio import (
     ChartFileError,
+    mub_family_document,
     projector_set_document,
     read_chart,
     report_document,
@@ -154,19 +155,8 @@ def cmd_reference(args) -> int:
     name = args.name
     try:
         if name in ("mub2", "mub3", "mub4"):
-            n = int(name[-1])
-            bases = mub_family(n)
-            doc = {
-                "format_version": 1,
-                "kind": "mub_family",
-                "n": n,
-                "bases_count": len(bases),
-                "max_cross_overlap_sq_deviation": verify_mub_family(bases),
-                "bases": [
-                    [[float(z.real), float(z.imag)] for z in basis.T.reshape(-1)]
-                    for basis in bases
-                ],
-            }
+            bases = mub_family(int(name[-1]))
+            doc = mub_family_document(bases, verify_mub_family(bases))
         else:
             quorum = rank1_optimal_quorum_n2() if name == "n2-rank1" else halfdim_optimal_quorum_n4()
             gram = gram_matrix(quorum)
@@ -208,8 +198,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--f-tol", type=float, default=pc.f_tol, help="Powell relative objective tolerance")
     p_opt.add_argument(
         "--x-tol", type=float, default=pc.x_tol,
-        help="line-search parameter tolerance; refinement also stops at the line's resolution, "
-        "where f changes by less than one rounding unit",
+        help="line-search parameter tolerance, coarsened to the line's resolution, where f "
+        "changes by less than one rounding unit; a line search stops when its bracket has "
+        "shrunk to that tolerance (this ends any line) or when its parabola's vertex lies "
+        "within it of the best point (this ends a smooth line a few evaluations sooner)",
     )
     p_opt.add_argument("--workers", type=int, default=1, help="parallel restart processes")
     p_opt.add_argument("--out", required=True, help="existing directory for chart/report/trace")

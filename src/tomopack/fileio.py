@@ -29,6 +29,7 @@ __all__ = [
     "write_report",
     "write_trace_csv",
     "projector_set_document",
+    "mub_family_document",
     "write_json",
 ]
 
@@ -157,14 +158,38 @@ def write_trace_csv(path, trace) -> None:
         writer.writerows(astuple(rec) for rec in trace)
 
 
+LAYOUT = "row-major, re/im interleaved"
+
+
+def _interleaved(matrices) -> list:
+    """Each matrix of a stack as one flat list of floats, in LAYOUT order."""
+    stack = np.ascontiguousarray(matrices, dtype=complex)
+    return stack.view(float).reshape(len(stack), -1).tolist()  # re, im per entry
+
+
 def projector_set_document(projectors: np.ndarray, n: int, l: int, extra: dict) -> dict:
-    interleaved = np.ascontiguousarray(projectors, dtype=complex).view(float)  # re, im per entry
     return {
         "format_version": FORMAT_VERSION,
         "n": int(n),
         "l": int(l),
         "count": int(projectors.shape[0]),
-        "layout": "row-major, re/im interleaved",
-        "projectors": interleaved.reshape(len(projectors), -1).tolist(),
+        "layout": LAYOUT,
+        "projectors": _interleaved(projectors),
         **extra,
+    }
+
+
+def mub_family_document(bases: list, deviation: float) -> dict:
+    """A MUB family: each (n, n) basis matrix, columns the basis vectors, in LAYOUT order.
+
+    ``deviation`` is the family's largest cross-basis deviation of |overlap|² from 1/n.
+    """
+    return {
+        "format_version": FORMAT_VERSION,
+        "kind": "mub_family",
+        "n": int(bases[0].shape[0]),
+        "bases_count": len(bases),
+        "max_cross_overlap_sq_deviation": deviation,
+        "layout": LAYOUT,
+        "bases": _interleaved(bases),
     }

@@ -39,9 +39,13 @@ class PowellConfig:
 
     f_tol is the relative objective decrease over a sweep below which the
     run stops; x_tol is the line-search parameter tolerance: refinement
-    stops once the minimum is located within x_tol·|t| + max(x_tol, δ) on
-    the line parameter t, where δ is the line's resolution, the distance
-    over which the bracket's parabola changes f by one rounding unit.  How
+    stops once the minimum is located within tol1 = x_tol·|t| + max(x_tol, δ)
+    on the line parameter t, where δ is the line's resolution, the distance
+    over which the bracket's parabola changes f by one rounding unit.  The
+    minimum counts as located when the bracket has shrunk to about 2·tol1
+    around the best point, which holds on any line, or when the parabola
+    through the three best points puts its vertex within tol1 of the best
+    point, which on a smooth line says the same a few calls earlier.  How
     a line search brackets, and its budget of 100 objective calls, are fixed
     (see ``line_minimize``).  The sweep cap is ``powell_minimize``'s
     ``max_sweeps``.
@@ -85,7 +89,7 @@ def line_minimize(
     First brackets a minimum by expanding downhill from (0, t0), each step
     the golden ratio times the last (searching toward negative t if
     f(t0) > f(0)), then refines inside the bracket with Brent's
-    parabolic/golden steps down to x_tol·|t| + max(x_tol, δ).
+    parabolic/golden steps down to tol1 = x_tol·|t| + max(x_tol, δ).
     δ = sqrt(2 ε (|f(b)| + 1) / κ) is the resolution of the line: with
     κ = 2·f[a, b, c] the curvature of the bracket (a, b, c) and ε the
     machine epsilon, the bracket's parabola changes f by less than one
@@ -93,9 +97,18 @@ def line_minimize(
     §5).  When κ <= 0, δ is not defined and x_tol alone applies.
     The refinement starts from all three bracket points (the better end
     point as Brent's second-best), so its first step can be the parabola
-    through them rather than a golden section.  A search makes at most 100
-    objective calls; if they find no bracket, the best sampled point is
-    returned with ``bracketed=False``.  The result never lies above f(0).
+    through them rather than a golden section.
+
+    Refinement has two exits.  Brent's: the bracket has shrunk to within
+    2·tol1 of the best point x; this one ends every search, also on kinked
+    or noisy lines where parabolas mislead.  The parabola's: an accepted
+    parabolic step would move x by less than tol1, so the parabola through
+    the three best points already places the minimum within tol1 of x; the
+    search returns x without evaluating that step, because probes at tol1
+    from x would only confirm it.  Either way the result is the lowest
+    point sampled.  A search makes at most 100 objective calls; if they
+    find no bracket, the best sampled point is returned with
+    ``bracketed=False``.  The result never lies above f(0).
     ``f_origin``, when given, is f(0), which is then not evaluated again.
     """
     if t0 == 0.0:
@@ -157,6 +170,9 @@ def line_minimize(
             e = d
             if abs(p) < abs(0.5 * qd * e_prev) and qd * (lo - x) < p < qd * (hi - x):
                 d = p / qd
+                if abs(d) < tol1:
+                    # the parabola's vertex lies within tol1 of x
+                    break
                 u = x + d
                 if (u - lo) < tol2 or (hi - u) < tol2:
                     d = tol1 if x < m else -tol1

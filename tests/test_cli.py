@@ -10,6 +10,7 @@ from tomopack.cli import main
 from tomopack.fileio import read_chart, write_chart
 from tomopack.hilbert import chart_length, quorum_from_chart
 from tomopack.metrics import upper_bound
+from tomopack.reference import mub_family
 
 from oracles import CHART_N2_ORACLE
 
@@ -354,6 +355,16 @@ class TestReference:
         doc = json.loads(out)
         assert doc["bases_count"] == n + 1
         assert doc["max_cross_overlap_sq_deviation"] <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_mub_bases_decode_to_family(self, capsys, n):
+        # row-major, re/im interleaved, as projector documents are
+        code, out, _ = run_cli(capsys, "reference", f"mub{n}")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["layout"] == "row-major, re/im interleaved"
+        decoded = np.asarray(doc["bases"], dtype=float).view(complex).reshape(n + 1, n, n)
+        assert np.array_equal(decoded, np.asarray(mub_family(n)))
 
     def test_n2_rank1(self, capsys):
         code, out, _ = run_cli(capsys, "reference", "n2-rank1")

@@ -14,6 +14,43 @@ def rosenbrock(x):
 
 
 class TestLineMinimize:
+    def test_parabola_vertex_ends_refinement(self):
+        # t = 1, 1 + φ and 1 + φ + φ² bracket 2 in three calls; the parabola
+        # through them has its vertex at 2 exactly, the fourth call lands
+        # there, and the next parabola's step is 0 < tol1: no probe beside it
+        res = line_minimize(lambda t: (t - 2.0) ** 2, 1.0, f_origin=4.0)
+        assert res.t == 2.0
+        assert res.evals == 4
+
+    @pytest.mark.parametrize(
+        "f,t0",
+        [
+            pytest.param(lambda t: (t - 2.0) ** 2, 1.0, id="quadratic"),
+            pytest.param(lambda t: -np.cos(t - 0.01), 1.0, id="cosine"),
+            pytest.param(lambda t: (t - 0.3) ** 4 + (t - 0.3) ** 2, -0.5, id="quartic"),
+            pytest.param(lambda t: np.exp(t) - 3.0 * t, 0.1, id="exponential"),
+            pytest.param(lambda t: abs(t - 1.0), 1.5, id="kink"),
+            pytest.param(lambda t: abs(t + 0.7) + 0.5 * abs(t - 0.2), 0.3, id="two-kinks"),
+            pytest.param(lambda t: np.sin(37 * t) + 0.1 * t * t, 1.0, id="fast-oscillation"),
+            pytest.param(lambda t: np.cos(5.0 * t) * np.exp(-0.1 * t * t), 0.2, id="damped-wave"),
+        ],
+    )
+    @pytest.mark.parametrize("x_tol", [1e-4, 1e-10])
+    def test_result_is_lowest_sample(self, f, t0, x_tol):
+        # PowellResult.x_best relies on this: whichever exit ends the
+        # refinement, no sampled point lies below the returned one
+        values = []
+
+        def recorded(t):
+            values.append(float(f(t)))
+            return values[-1]
+
+        res = line_minimize(recorded, t0, x_tol=x_tol)
+        assert res.bracketed
+        assert res.evals == len(values)
+        assert res.fval == min(values)
+        assert float(f(res.t)) == res.fval  # t is where fval was sampled
+
     def test_quadratic_exact(self):
         res = line_minimize(lambda t: (t - 2.0) ** 2, 1.0)
         assert res.bracketed
@@ -46,19 +83,21 @@ class TestLineMinimize:
 
     def test_refinement_seeded_with_bracket(self):
         # the bracket end points seed the first parabola; refining from a
-        # golden step instead took 28 evaluations here, and 11 before the
-        # refinement stopped at the line's resolution
+        # golden step instead took 28 evaluations here, 11 before the
+        # refinement stopped at the line's resolution and 9 before it
+        # stopped on a parabola's vertex within tol1
         res = line_minimize(lambda t: -np.cos(t - 0.01), 1.0, x_tol=1e-9)
         assert abs(res.t - 0.01) <= 1e-8
-        assert res.evals <= 9
+        assert res.evals <= 7
 
     def test_refinement_stops_at_line_resolution(self):
         # f changes by less than one rounding unit within ~1e-8 of 0.3, so
         # x_tol = 1e-12 cannot be met; refining toward it took 42
-        # evaluations and ended 1.8e-8 away
+        # evaluations and ended 1.8e-8 away, and probing tol1 beside the
+        # parabola's vertex took 2 more than the 4 needed now
         res = line_minimize(lambda t: (t - 0.3) ** 2 + 5.0, 1.0, x_tol=1e-12)
         assert res.bracketed
-        assert res.evals <= 6
+        assert res.evals <= 4
         assert abs(res.t - 0.3) <= 1e-15
         assert res.fval == 5.0
 
