@@ -27,8 +27,10 @@ _EPS = float(np.finfo(float).eps)
 # Bracketing grows the interval by _PHI per step; one line search makes at
 # most _LINE_BUDGET objective calls.
 _LINE_BUDGET = 100
-# A direction's next line search starts at _STEP_GROWTH times its last
-# accepted step, kept within [_STEP_FLOOR, 1] rad.
+# A line that moved x by t is accepted as a step of _STEP_GROWTH·|t|, kept
+# within [_STEP_FLOOR, 1] rad: its direction's next line search starts there
+# (with the sign of t), and so does the first line search of any direction
+# that has none of its own yet.
 _STEP_GROWTH = 2.0
 _STEP_FLOOR = 1e-6
 
@@ -223,11 +225,15 @@ def powell_minimize(
     degenerates.  Stops when the relative decrease over a full sweep falls
     below f_tol or after max_sweeps sweeps.
 
-    Each direction keeps a signed start step for its line search: 1.0 at
-    first, then after every line that moved x by t, twice |t| clipped to
-    [1e-6, 1] with the sign of t.  A new direction starts at 1.0, the one
-    moved into the replaced slot keeps its step, and a reset to the axes
-    resets every step to 1.0.
+    A line that moved x by t is accepted as a step of twice |t|, clipped
+    to [1e-6, 1].  Its direction's next line search starts at that step
+    with the sign of t.  A direction with no line search of its own yet
+    starts at the run's last accepted step, or at 1.0 before there is one:
+    each axis of the first sweep, the sweep displacement's direction put in
+    the replaced slot, and every axis after a reset to the axes.  The one
+    moved into the replaced slot keeps its step.  The line along the sweep
+    displacement itself starts at 1.0, the extrapolated point, whose value
+    is already known.
 
     ``callback(x, fval, nfev, sweep)`` runs after every sweep.
 
@@ -253,7 +259,9 @@ def powell_minimize(
         raise ValueError(f"objective is not finite at x0 ({f_cur})")
 
     directions = np.eye(n)
-    steps = np.ones(n)  # signed start step of each direction's line search
+    # signed start step of each direction's line search, 0 until it has one
+    steps = np.zeros(n)
+    last_step = 1.0  # the run's last accepted step
     x_skip, f_skip = None, np.inf  # lowest passed-over extrapolated point
     converged = False
     nit = 0
@@ -268,15 +276,15 @@ def powell_minimize(
             f_prev = f_cur
             line = line_minimize(
                 lambda t: ff(x + t * u),
-                t0=steps[i],
+                t0=steps[i] if steps[i] != 0.0 else last_step,
                 x_tol=cfg.x_tol,
                 f_origin=f_prev,
             )
             if line.fval < f_cur and line.t != 0.0:
                 x = x + line.t * u
                 f_cur = line.fval
-                step = np.clip(_STEP_GROWTH * abs(line.t), _STEP_FLOOR, 1.0)
-                steps[i] = np.copysign(step, line.t)
+                last_step = float(np.clip(_STEP_GROWTH * abs(line.t), _STEP_FLOOR, 1.0))
+                steps[i] = np.copysign(last_step, line.t)
             if f_prev - f_cur > delta:
                 delta = f_prev - f_cur
                 big = i
@@ -296,8 +304,9 @@ def powell_minimize(
             t = 2.0 * (f_start - 2.0 * f_cur + f_ext) * (f_start - f_cur - delta) ** 2
             t -= delta * (f_start - f_ext) ** 2
             if t < 0.0:
+                # x + 1.0 * disp is x_ext bit for bit: f_ext is its value
                 line = line_minimize(
-                    lambda s: ff(x + s * disp),
+                    lambda s: f_ext if s == 1.0 else ff(x + s * disp),
                     t0=1.0,
                     x_tol=cfg.x_tol,
                     f_origin=f_cur,
@@ -311,9 +320,9 @@ def powell_minimize(
                     directions[big] = directions[n - 1]
                     directions[n - 1] = new_dir / norm
                     steps[big] = steps[n - 1]
-                    steps[n - 1] = 1.0
+                    steps[n - 1] = 0.0
                     if _directions_degenerate(directions):
                         directions = np.eye(n)
-                        steps[:] = 1.0
+                        steps[:] = 0.0
     x_best = x_skip if f_skip < f_cur else x
     return PowellResult(x=x, fun=f_cur, nit=nit, nfev=nfev, converged=converged, x_best=x_best)

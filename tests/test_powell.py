@@ -3,14 +3,56 @@ import pytest
 
 import tomopack.powell
 from tomopack import bundled_chart_n6
-from tomopack.hilbert import random_chart
-from tomopack.metrics import upper_bound
+from tomopack.hilbert import quorum_from_chart, random_chart
+from tomopack.metrics import evaluate_quorum, upper_bound
 from tomopack.powell import LineResult, PowellConfig, line_minimize, powell_minimize
 from tomopack.schedule import NEG_LOG_QUALITY, make_objective
 
 
 def rosenbrock(x):
     return 100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2
+
+
+def _record_lines(monkeypatch):
+    """Record every line search as ("line", t0, result, f_origin)."""
+    events = []
+    real_line = tomopack.powell.line_minimize
+
+    def recording_line(f, t0=1.0, **kwargs):
+        res = real_line(f, t0, **kwargs)
+        events.append(("line", t0, res, kwargs["f_origin"]))
+        return res
+
+    monkeypatch.setattr(tomopack.powell, "line_minimize", recording_line)
+    return events
+
+
+def _sweeps(events, dim):
+    """Split recorded events into sweeps of ``dim`` direction lines.
+
+    Each sweep lists its lines as (t0, the run's last accepted step before
+    the line), the t by which each line moved x (None if it moved nowhere),
+    and whether a direction was replaced after it.  The line along the sweep
+    displacement, between a sweep's callback and the next sweep, is left
+    out: its t is in units of the displacement and sets no step.
+    """
+    sweeps, lines, last = [], [], 1.0
+    for event in events:
+        if event[0] == "sweep":
+            sweeps.append({"lines": [], "moved": [], "replaced": False})
+            for t0, res, f_origin in lines[-dim:]:
+                sweeps[-1]["lines"].append((t0, last))
+                moved = None
+                if res.fval < f_origin and res.t != 0.0:
+                    moved = res.t
+                    last = float(np.clip(2.0 * abs(res.t), 1e-6, 1.0))
+                sweeps[-1]["moved"].append(moved)
+            lines = []
+        elif event[0] == "replace":
+            sweeps[-1]["replaced"] = True
+        else:
+            lines.append(event[1:])
+    return sweeps
 
 
 class TestLineMinimize:
@@ -227,21 +269,16 @@ class TestPowellMinimize:
         assert second < first
 
     def test_steps_reset_with_directions(self, monkeypatch):
-        # force a reset to the axes whenever a direction is replaced; the
-        # n line searches after it must all start at 1.0 again
+        # force a reset to the axes whenever a direction is replaced; each
+        # of the n line searches after it starts at the step accepted last
+        # before it, as a direction with no line search of its own does
         dim = 3
-        events = []
-        real_line = tomopack.powell.line_minimize
-
-        def recording_line(f, t0=1.0, **kwargs):
-            events.append(("line", t0))
-            return real_line(f, t0, **kwargs)
+        events = _record_lines(monkeypatch)
 
         def always_degenerate(directions):
-            events.append(("reset", None))
+            events.append(("replace",))
             return True
 
-        monkeypatch.setattr(tomopack.powell, "line_minimize", recording_line)
         monkeypatch.setattr(tomopack.powell, "_directions_degenerate", always_degenerate)
         a = np.array([[3.0, 1.0, 0.5], [1.0, 2.0, 0.3], [0.5, 0.3, 1.0]])
         powell_minimize(
@@ -249,13 +286,98 @@ class TestPowellMinimize:
             np.array([0.7, -0.4, 0.9]),
             PowellConfig(),
             6,
+            callback=lambda *args: events.append(("sweep",)),
         )
-        resets = [k for k, (kind, _) in enumerate(events) if kind == "reset"]
+        sweeps = _sweeps(events, dim)
+        resets = [k for k, sweep in enumerate(sweeps) if sweep["replaced"]]
         assert resets, "no direction was replaced"
-        assert any(kind == "line" and t0 != 1.0 for kind, t0 in events[: resets[0]])
+        assert any(t0 != 1.0 for t0, _ in sweeps[resets[0]]["lines"])
+        checked = []
         for k in resets:
-            after = events[k + 1 : k + 1 + dim]
-            assert all(kind == "line" and t0 == 1.0 for kind, t0 in after)
+            if k + 1 < len(sweeps):
+                after = sweeps[k + 1]["lines"]
+                assert [t0 for t0, _ in after] == [last for _, last in after]
+                checked += [t0 for t0, _ in after]
+        assert any(t0 != 1.0 for t0 in checked)  # not the rule's 1.0 fallback
+
+    def test_fresh_direction_starts_at_last_accepted_step(self, monkeypatch):
+        # minima at offsets of 1e-3 from x0: on the first sweep, line k + 1
+        # starts at line k's accepted step, not at 1 rad, and so does the
+        # sweep displacement's direction in the replaced slot n - 1
+        dim = 3
+        events = _record_lines(monkeypatch)
+        real_degenerate = tomopack.powell._directions_degenerate
+
+        def recording_degenerate(directions):
+            events.append(("replace",))
+            return real_degenerate(directions)
+
+        monkeypatch.setattr(tomopack.powell, "_directions_degenerate", recording_degenerate)
+        a = np.array([[3.0, 1.0, 0.5], [1.0, 2.0, 0.3], [0.5, 0.3, 1.0]])
+        c = np.array([2e-3, -1e-3, 5e-4])
+        powell_minimize(
+            lambda x: float((x - c) @ a @ (x - c)),
+            np.zeros(dim),
+            PowellConfig(),
+            4,
+            callback=lambda *args: events.append(("sweep",)),
+        )
+        sweeps = _sweeps(events, dim)
+        first = [t0 for t0, _ in sweeps[0]["lines"]]
+        moved = sweeps[0]["moved"]
+        assert first[0] == 1.0
+        assert all(t is not None for t in moved[:-1])
+        assert first[1:] == [np.clip(2.0 * abs(t), 1e-6, 1.0) for t in moved[:-1]]
+        assert max(first[1:]) < 1e-2
+        replaced = [k for k, sweep in enumerate(sweeps[:-1]) if sweep["replaced"]]
+        assert replaced, "no direction was replaced"
+        for k in replaced:
+            t0, last = sweeps[k + 1]["lines"][dim - 1]
+            assert t0 == last
+            assert t0 < 1e-2
+
+    def test_extrapolated_point_evaluated_once(self, monkeypatch):
+        # the line along the sweep displacement starts at t = 1, the
+        # extrapolated point 2x - x_start, whose value Powell's test took
+        replaced = []
+        real_degenerate = tomopack.powell._directions_degenerate
+
+        def recording_degenerate(directions):
+            replaced.append(True)
+            return real_degenerate(directions)
+
+        monkeypatch.setattr(tomopack.powell, "_directions_degenerate", recording_degenerate)
+        points = []
+        after_sweep = []
+
+        def recorded(x):
+            points.append(x.tobytes())
+            return rosenbrock(x)
+
+        powell_minimize(
+            recorded,
+            np.array([-1.2, 1.0]),
+            PowellConfig(),
+            10,
+            callback=lambda *args: after_sweep.append(len(points)),
+        )
+        assert replaced, "no direction was replaced"
+        extrapolated = [points[k] for k in after_sweep if k < len(points)]
+        assert len(extrapolated) >= 9
+        for x_ext in extrapolated:
+            assert points.count(x_ext) == 1
+
+    def test_one_sweep_from_bundled_n6_chart(self):
+        # the `optimize --resume` case: one volume sweep from the stored
+        # chart, whose line minima lie at |t| ~ 1e-5; fresh directions that
+        # start at 1 rad took 3,494 evaluations here, 5.71 per line
+        objective = make_objective(NEG_LOG_QUALITY, 6, 3)
+        x0 = bundled_chart_n6()
+        res = powell_minimize(objective, x0, PowellConfig(x_tol=1e-9, f_tol=1e-12), 1)
+        assert res.nfev <= 2600
+        before = evaluate_quorum(quorum_from_chart(x0, 6, 3)).relative_deviation
+        after = evaluate_quorum(quorum_from_chart(res.x_best, 6, 3)).relative_deviation
+        assert after <= 0.98 * before
 
     def test_degenerate_direction_set_detection(self):
         from tomopack.powell import _directions_degenerate
