@@ -25,5 +25,5 @@ from .reference import (
     bundled_chart_n6,
     halfdim_optimal_quorum_n4,
     mub_family,
-    rank1_optimal_quorum_n2,
+    pauli_quorum,
 )

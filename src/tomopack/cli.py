@@ -39,7 +39,7 @@ from .powell import PowellConfig
 from .reference import (
     halfdim_optimal_quorum_n4,
     mub_family,
-    rank1_optimal_quorum_n2,
+    pauli_quorum,
     verify_mub_family,
 )
 from .schedule import ScheduleConfig, alternating_optimize, multi_restart
@@ -158,12 +158,12 @@ def cmd_reference(args) -> int:
             bases = mub_family(int(name[-1]))
             doc = mub_family_document(bases, verify_mub_family(bases))
         else:
-            quorum = rank1_optimal_quorum_n2() if name == "n2-rank1" else halfdim_optimal_quorum_n4()
+            quorum = pauli_quorum(1) if name == "n2-rank1" else halfdim_optimal_quorum_n4()
             gram = gram_matrix(quorum)
             report = report_from_gram(gram, quorum.n, quorum.l)
             ub = report.upper_bound
-            # rounding leaves the exact quality and L = 0 within ~1e-15; a wrong
-            # basis vector moves some Tr(Q_a Q_b) by O(1/n): 1e-9 is far from both
+            # the Pauli quorums are exact; a wrong projector moves some
+            # Tr(Q_a Q_b) by O(1/n): 1e-9 is far from both
             if abs(report.quality - ub) > 1e-9 * ub or report.non_orthogonality_l > 1e-9:
                 raise ValueError(f"quality {report.quality!r} vs bound {ub!r}")
             doc = projector_set_document(

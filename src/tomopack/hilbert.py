@@ -5,7 +5,7 @@ m = n^2 - 1 rank-l projectors.  Each projector is parametrized by l unit
 vectors drawn from (n-l+1)-dimensional subspaces, chosen sequentially so the
 vectors come out pairwise orthogonal.  The first projector is pinned: it is
 the image of the all-zero angle block, which places e_1..e_l and so gives
-diag(1,...,1,0,...,0) exactly.  Every projector goes through one private
+diag(1,...,1,0,...,0) exactly.  Chart projectors go through one private
 batched assembly, ``_projectors``; there is no public projector helper.
 Every function here is pure and deterministic: the same chart always
 produces bit-identical projectors.

@@ -130,8 +130,8 @@ def orthoplex_report(maximal: np.ndarray, tol: float) -> OrthoplexReport:
     d^2 = l by construction; the other 2m(m - 1) pairs are scored, and one is
     at the bound when its d^2 is within tol.
     """
-    if not tol > 0:  # NaN fails too
-        raise ValueError(f"orthoplex tolerance must be positive, got {tol}")
+    if not 0 < tol < np.inf:  # NaN fails too
+        raise ValueError(f"orthoplex tolerance must be finite and positive, got {tol}")
     p = np.asarray(maximal, dtype=complex)
     n = p.shape[-1]
     m = n * n - 1

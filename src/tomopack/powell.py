@@ -57,8 +57,8 @@ class PowellConfig:
     x_tol: float = 1e-10
 
     def __post_init__(self):
-        if not (self.f_tol > 0 and self.x_tol > 0):  # NaN fails too
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.f_tol < np.inf and 0 < self.x_tol < np.inf):  # NaN fails too
+            raise ValueError("tolerances must be finite and positive")
 
 
 @dataclass(frozen=True)

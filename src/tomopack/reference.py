@@ -1,9 +1,9 @@
-"""Analytic reference sets: mutually unbiased bases and the quorums built
-from them that attain the quality upper bound exactly.
+"""Analytic reference sets: mutually unbiased bases of C^2, C^3 and C^4, and
+the Pauli quorums, which attain the quality bound exactly for every n = 2^k.
 
-These exist in dimensions 2 and 4 (and the bases alone in 3) and serve as
-end-to-end oracles for the metrics and the optimizer.  A numerically found
-near-optimal dimension-6 chart ships with the package as well.
+The Pauli quorums serve as end-to-end oracles for the metrics and the
+optimizer.  A numerically found near-optimal dimension-6 chart ships with
+the package as well.
 
 Nothing here checks a construction when it is built: ``tomopack reference``
 verifies each one it emits, and the tests verify them all.
@@ -15,12 +15,12 @@ from importlib import resources
 
 import numpy as np
 
-from .hilbert import Quorum, _projectors
+from .hilbert import Quorum
 
 __all__ = [
     "mub_family",
     "verify_mub_family",
-    "rank1_optimal_quorum_n2",
+    "pauli_quorum",
     "halfdim_optimal_quorum_n4",
     "bundled_chart_n6",
     "BUNDLED_CHART_N6",
@@ -110,26 +110,32 @@ def verify_mub_family(bases: list) -> float:
     return worst
 
 
-def rank1_optimal_quorum_n2() -> Quorum:
-    """Three rank-1 projectors on C^2 whose traceless parts are orthogonal.
+def pauli_quorum(k: int) -> Quorum:
+    """The optimal rank-n/2 quorum on C^n, n = 2^k: the projectors (1 + σ)/2
+    over the n^2 - 1 non-identity Pauli strings σ.
 
-    Projects onto |0>, |+>, |+i>; attains the quality bound (1/2)^(3/2)
-    with zero non-orthogonality.
+    Tr(σ_a σ_b) = n δ_ab gives Q = σ/2 and G = (n/4)·1, the bound; every
+    entry is 0, ±1/2, ±i/2 or 1, so G, L = 0 and P^2 = P hold bit for bit.
+    The diagonal strings come first, led by Z⊗1⊗…⊗1, whose projector is
+    diag(1,...,1,0,...,0); each group is in product order, first factor
+    fastest.  k = 1 gives |0>, |+>, |+i>; k = 6 takes 268 MB (16^k entries).
     """
-    vs = np.array([[b[:, 0]] for b in mub_family(2)])
-    return Quorum(projectors=_projectors(vs), n=2, l=1)
+    if type(k) is not int or k < 1:
+        raise ValueError(f"pauli_quorum needs an integer k >= 1, got {k!r}")
+    strings = paulis = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    for d in 2 ** np.arange(1, k):  # strings[a] ⊗ paulis[b] lands at index 4^j·b + a, d = 2^j
+        strings = np.einsum("aij,bkl->baikjl", strings, paulis).reshape(-1, 2 * d, 2 * d)
+    n = 2**k
+    # a string is diagonal, every factor 1 or Z, iff its (0, 0) entry is nonzero; drop the identity
+    order = np.argsort(strings[:, 0, 0] == 0, kind="stable")[1:]
+    return Quorum(projectors=(np.eye(n) + strings[order]) / 2, n=n, l=n // 2)
 
 
 def halfdim_optimal_quorum_n4() -> Quorum:
-    """Fifteen rank-2 projectors on C^4 attaining the quality bound of 1.
-
-    From each of the 5 MUBs with vectors {e1..e4}, take the projectors onto
-    span{e1,e2}, span{e1,e3}, span{e1,e4}.  Sharing the first vector makes
-    same-basis pairs satisfy Tr(P_a P_b) = 1, and unbiasedness makes all
-    cross-basis pairs satisfy the same, so every Tr(Q_a Q_b) vanishes.
+    """``pauli_quorum(2)``, kept by name: ``reference n4-rank2`` and
+    ``extend --reference n4`` call it, and the benchmark imports and times it.
     """
-    vs = np.array([[b[:, 0], b[:, partner]] for b in mub_family(4) for partner in (1, 2, 3)])
-    return Quorum(projectors=_projectors(vs), n=4, l=2)
+    return pauli_quorum(2)
 
 
 def bundled_chart_n6() -> np.ndarray:

@@ -16,7 +16,7 @@ from tomopack.metrics import (
     upper_bound,
 )
 from tomopack.powell import PowellConfig, powell_minimize
-from tomopack.reference import halfdim_optimal_quorum_n4, rank1_optimal_quorum_n2
+from tomopack.reference import pauli_quorum
 from tomopack.schedule import (
     ScheduleConfig,
     alternating_optimize,
@@ -44,10 +44,10 @@ def test_bound_attainment_n2():
 
 
 def test_bound_attainment_n4_oracle():
-    quorum = halfdim_optimal_quorum_n4()
+    quorum = pauli_quorum(2)
     res = evaluate_quorum(quorum)
     l_sum = res.non_orthogonality_l
-    ok = abs(res.quality - 1.0) <= 1e-10 and l_sum <= 1e-10
+    ok = res.quality == 1.0 and l_sum == 0.0
     _report(
         "analytic bound n=4 (oracle)",
         ok,
@@ -161,12 +161,12 @@ def test_property_suites():
         assert abs(d_direct - d_comp) <= 1e-10
 
     # orthoplex cross-pair identity on the n=4 oracle
-    oracle = halfdim_optimal_quorum_n4()
+    oracle = pauli_quorum(2)
     eye4 = np.eye(4)
     for i, j in ((0, 1), (2, 9), (5, 14)):
         d2 = chordal_distance_sq(oracle.projectors[i], eye4 - oracle.projectors[j])
         tr = np.einsum("ab,ba->", oracle.projectors[i], oracle.projectors[j]).real
-        assert abs(d2 - tr) <= 1e-12
+        assert d2 == tr
 
     # Powell monotonicity per sweep
     rosen = lambda x: 100.0 * (x[1] - x[0] ** 2) ** 2 + (1 - x[0]) ** 2
@@ -205,7 +205,7 @@ def _det3_cofactor(g: np.ndarray) -> float:
 
 
 def test_oracle_equivalence():
-    quorum = rank1_optimal_quorum_n2()
+    quorum = pauli_quorum(1)
     g = gram_matrix(quorum)
     via_log = quality_from_gram(g).quality
     via_det = quality_from_det(g)

@@ -10,7 +10,7 @@ from tomopack.cli import main
 from tomopack.fileio import read_chart, write_chart
 from tomopack.hilbert import chart_length, quorum_from_chart
 from tomopack.metrics import upper_bound
-from tomopack.reference import mub_family
+from tomopack.reference import mub_family, pauli_quorum
 
 from oracles import CHART_N2_ORACLE
 
@@ -54,6 +54,8 @@ class TestOptimize:
             ["--f-tol", "0"],
             ["--x-tol", "0"],
             ["--x-tol", "nan"],
+            ["--x-tol", "inf"],
+            ["--f-tol", "inf"],
             ["--seed", "-1"],
             ["--n", "3", "--l", "3"],
             ["--n", "1", "--l", "1"],
@@ -304,8 +306,7 @@ class TestExtend:
         ortho = doc["orthoplex"]
         assert ortho["pairs_total"] == 420
         assert ortho["at_bound"] == 420
-        assert abs(ortho["min_d2"] - 1.0) < 1e-10
-        assert ortho["max_d2"] == 1.0
+        assert ortho["min_d2"] == ortho["max_d2"] == 1.0
         assert ortho["all_unbiased"] is True
         assert "at_bound_strict" not in ortho
 
@@ -336,7 +337,7 @@ class TestExtend:
         assert stdout == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["chart.json"]
 
-    @pytest.mark.parametrize("tol", ["0", "-1e-6", "nan"])
+    @pytest.mark.parametrize("tol", ["0", "-1e-6", "nan", "inf"])
     def test_bad_tol_exits_2_without_files(self, capsys, tmp_path, tol):
         out = tmp_path / "maximal.json"
         code, _out, err = run_cli(
@@ -367,17 +368,21 @@ class TestReference:
         assert np.array_equal(decoded, np.asarray(mub_family(n)))
 
     def test_n2_rank1(self, capsys):
-        code, out, _ = run_cli(capsys, "reference", "n2-rank1")
-        assert code == 0
-        doc = json.loads(out)
-        assert abs(doc["report"]["quality"] - 0.353553) < 1e-6
+        self._check_pauli_output(capsys, "n2-rank1", 1)
 
     def test_n4_rank2(self, capsys):
-        code, out, _ = run_cli(capsys, "reference", "n4-rank2")
+        self._check_pauli_output(capsys, "n4-rank2", 2)
+
+    @staticmethod
+    def _check_pauli_output(capsys, name, k):
+        code, out, _ = run_cli(capsys, "reference", name)
         assert code == 0
         doc = json.loads(out)
-        assert abs(doc["report"]["quality"] - 1.0) <= 1e-10
-        assert doc["count"] == 15
+        assert doc["count"] == 4**k - 1
+        assert np.array_equal(_decode_matrices(doc), pauli_quorum(k).projectors)
+        # exact: quality at the bound, and L = 0 written as ln L = -Infinity
+        assert doc["report"]["quality"] == upper_bound(2**k, 2 ** (k - 1))
+        assert doc["report"]["ln_l"] == float("-inf")
 
     def test_unknown_name(self, capsys):
         code, _out, err = run_cli(capsys, "reference", "bogus")

@@ -19,7 +19,7 @@ from tomopack.metrics import (
     upper_bound,
     worst_pairs,
 )
-from tomopack.reference import bundled_chart_n6, halfdim_optimal_quorum_n4, rank1_optimal_quorum_n2
+from tomopack.reference import bundled_chart_n6, pauli_quorum
 
 from oracles import chordal_distance_sq, fixed_first_projector, quality_from_det
 
@@ -78,12 +78,12 @@ class TestQualityMeasure:
         g = gram_matrix(_mub_trio_quorum())
         res = quality_from_gram(g)
         assert abs(res.quality - quality_from_det(g)) < 1e-12
-        g4 = gram_matrix(halfdim_optimal_quorum_n4())
+        g4 = gram_matrix(pauli_quorum(2))
         res4 = quality_from_gram(g4)
-        assert abs(res4.quality - quality_from_det(g4)) < 1e-9
+        assert res4.quality == quality_from_det(g4) == 1.0
 
     def test_quality_squared_matches_det(self):
-        for quorum in (_mub_trio_quorum(), halfdim_optimal_quorum_n4()):
+        for quorum in (_mub_trio_quorum(), pauli_quorum(2)):
             g = gram_matrix(quorum)
             res = quality_from_gram(g)
             det = np.linalg.det(g)
@@ -129,10 +129,10 @@ class TestNonOrthogonality:
     def test_zero_l_iff_bound(self):
         # constructed both ways: oracle hits the bound with L ~ 0; a generic
         # quorum has L > 0 and quality strictly below the bound
-        quorum = rank1_optimal_quorum_n2()
+        quorum = pauli_quorum(1)
         l_sum = evaluate_quorum(quorum).non_orthogonality_l
-        assert l_sum <= 1e-10
-        assert abs(evaluate_quorum(quorum).quality - upper_bound(2, 1)) <= 1e-8
+        assert l_sum == 0.0
+        assert evaluate_quorum(quorum).quality == upper_bound(2, 1)
         generic = _random_quorum(seed=3)
         l_gen = evaluate_quorum(generic).non_orthogonality_l
         assert l_gen > 1e-3
@@ -176,7 +176,7 @@ class TestChordalDistance:
 
 class TestOrthoplex:
     def test_n4_oracle_all_at_bound(self):
-        report = orthoplex_report(extend_to_maximal(halfdim_optimal_quorum_n4()), 1e-10)
+        report = orthoplex_report(extend_to_maximal(pauli_quorum(2)), 1e-10)
         assert report.bound == 1.0
         assert report.pairs_total == 420
         assert report.at_bound == 420
@@ -271,9 +271,9 @@ class TestReportHelpers:
         assert abs(abs(g[i, j]) - v) < 1e-15
 
     def test_evaluate_quorum_fields(self):
-        report = evaluate_quorum(rank1_optimal_quorum_n2())
-        assert abs(report.quality - report.upper_bound) < 1e-10
-        assert report.relative_deviation < 1e-9
+        report = evaluate_quorum(pauli_quorum(1))
+        assert report.quality == report.upper_bound
+        assert report.relative_deviation == 0.0
         assert report.repetition_overhead >= 0.0
         assert not report.degenerate
 
@@ -287,7 +287,7 @@ class TestReportHelpers:
         assert report.repetition_overhead == float("inf")
 
     def test_chordal_extremes_from_gram_match_pairwise_distances(self):
-        quorums = [quorum_from_chart(bundled_chart_n6(), 6, 3), halfdim_optimal_quorum_n4()]
+        quorums = [quorum_from_chart(bundled_chart_n6(), 6, 3), pauli_quorum(2)]
         for quorum in quorums:
             report = report_from_gram(gram_matrix(quorum), quorum.n, quorum.l)
             p = quorum.projectors

@@ -187,6 +187,8 @@ class TestPowellConfig:
             PowellConfig(f_tol=0.0)
         with pytest.raises(ValueError):
             PowellConfig(x_tol=float("nan"))
+        with pytest.raises(ValueError, match="finite"):
+            PowellConfig(x_tol=float("inf"))
 
 
 class TestPowellMinimize:

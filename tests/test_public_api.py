@@ -1,8 +1,11 @@
-"""Every name a module exports in ``__all__`` must exist, and every name the
-package re-exports must be in its home module's ``__all__``."""
+"""Every name a module exports in ``__all__`` must exist, every name the
+package re-exports must be in its home module's ``__all__``, and no module
+imports another module's private names."""
 
+import ast
 import importlib
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -40,3 +43,18 @@ def test_package_exports_are_module_exports():
         if attr not in importlib.import_module(home).__all__
     ]
     assert stray == []
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(tomopack.__file__).parent.glob("*.py")), ids=lambda p: p.name
+)
+def test_no_private_names_cross_modules(path):
+    private = [
+        f"line {node.lineno}: from {'.' * node.level}{node.module or ''} import {alias.name}"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "tomopack")
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")  # __version__ is public
+    ]
+    assert private == []
