@@ -24,9 +24,12 @@ _PHI = (1.0 + np.sqrt(5.0)) / 2.0  # the golden ratio
 _CGOLD = 2.0 - _PHI  # golden-section fraction 0.381966...
 _TINY = 1e-20
 _EPS = float(np.finfo(float).eps)
-# Bracketing grows the interval by _PHI per step; one line search makes at
-# most _LINE_BUDGET objective calls.
+# Bracketing grows the interval by _PHI per step, or jumps to the vertex of
+# the parabola through its last three points, at most _GROW_LIMIT times the
+# last step past it; one line search makes at most _LINE_BUDGET objective
+# calls.
 _LINE_BUDGET = 100
+_GROW_LIMIT = 100.0
 # A line that moved x by t is accepted as a step of _STEP_GROWTH·|t|, kept
 # within [_STEP_FLOOR, 1] rad: its direction's next line search starts there
 # (with the sign of t), and so does the first line search of any direction
@@ -47,10 +50,12 @@ class PowellConfig:
     minimum counts as located when the bracket has shrunk to about 2·tol1
     around the best point, which holds on any line, or when the parabola
     through the three best points puts its vertex within tol1 of the best
-    point, which on a smooth line says the same a few calls earlier.  How
-    a line search brackets, and its budget of 100 objective calls, are fixed
-    (see ``line_minimize``).  The sweep cap is ``powell_minimize``'s
-    ``max_sweeps``.
+    point, which on a smooth line says the same a few calls earlier; the
+    parabola test applies while the bracket is still being expanded too.
+    How a line search brackets (golden steps, or the vertex of the
+    parabola through its last three points), and its budget of 100
+    objective calls, are fixed (see ``line_minimize``).  The sweep cap is
+    ``powell_minimize``'s ``max_sweeps``.
     """
 
     f_tol: float = 1e-10
@@ -63,6 +68,10 @@ class PowellConfig:
 
 @dataclass(frozen=True)
 class LineResult:
+    """The lowest point a line search sampled, ``fval`` = f(t), after
+    ``evals`` objective calls.  ``bracketed`` is False only when the budget
+    ran out with f still falling."""
+
     t: float
     fval: float
     evals: int
@@ -88,10 +97,18 @@ def line_minimize(
 ) -> LineResult:
     """Minimize a 1-D function starting from the points t=0 and t=t0.
 
-    First brackets a minimum by expanding downhill from (0, t0), each step
-    the golden ratio times the last (searching toward negative t if
-    f(t0) > f(0)), then refines inside the bracket with Brent's
-    parabolic/golden steps down to tol1 = x_tol·|t| + max(x_tol, δ).
+    First brackets a minimum by expanding downhill from (0, t0), searching
+    toward negative t if f(t0) > f(0).  While f still falls through the
+    last three points a, b, c (fa > fb > fc), the next probe is the golden
+    step c + φ(c − b), or the vertex of the parabola through a, b and c
+    when that parabola is convex and its vertex lies farther beyond c than
+    the golden step; such a probe goes at most 100·(c − b) beyond c
+    (Brent 1973, ch. 5; Press et al., Numerical Recipes §10.1).  A vertex
+    nearer than the golden step is not probed: it would make a lopsided
+    bracket, whose refinement falls back to golden sections.
+
+    Then refines inside the bracket with Brent's parabolic/golden steps
+    down to tol1 = x_tol·|t| + max(x_tol, δ).
     δ = sqrt(2 ε (|f(b)| + 1) / κ) is the resolution of the line: with
     κ = 2·f[a, b, c] the curvature of the bracket (a, b, c) and ε the
     machine epsilon, the bracket's parabola changes f by less than one
@@ -107,14 +124,21 @@ def line_minimize(
     parabolic step would move x by less than tol1, so the parabola through
     the three best points already places the minimum within tol1 of x; the
     search returns x without evaluating that step, because probes at tol1
-    from x would only confirm it.  Either way the result is the lowest
-    point sampled.  A search makes at most 100 objective calls; if they
-    find no bracket, the best sampled point is returned with
-    ``bracketed=False``.  The result never lies above f(0).
+    from x would only confirm it.  The parabola's exit applies while
+    bracketing too: if the convex parabola through a, b and c puts its
+    vertex within tol1 of c (tol1 and δ taken at c), the search returns c
+    with ``bracketed=True`` and no confirming probe.  Either way the result
+    is the lowest point sampled.  A search makes at most 100 objective
+    calls; if they run out with f still falling, the best sampled point is
+    returned with ``bracketed=False``.  The result never lies above f(0).
     ``f_origin``, when given, is f(0), which is then not evaluated again.
+    ``t0`` must be finite and nonzero and ``x_tol`` finite and positive
+    (``ValueError`` otherwise).
     """
-    if t0 == 0.0:
-        raise ValueError("t0 must be nonzero")
+    if not (np.isfinite(t0) and t0 != 0.0):
+        raise ValueError(f"t0 must be finite and nonzero, got {t0}")
+    if not 0.0 < x_tol < np.inf:  # NaN fails too
+        raise ValueError(f"x_tol must be finite and positive, got {x_tol}")
     evals = 0
 
     def call(t):
@@ -131,14 +155,29 @@ def line_minimize(
     c = b + _PHI * (b - a)
     fc = call(c)
     while fc < fb:
+        u = c + _PHI * (c - b)
+        # the parabola through a, b and c: its curvature and vertex (Press
+        # et al., Numerical Recipes §10.1)
+        kappa = 2.0 * ((fc - fb) / (c - b) - (fb - fa) / (b - a)) / (c - a)
+        if kappa > 0.0:
+            r = (b - a) * (fb - fc)
+            q = (b - c) * (fb - fa)
+            vertex = b - ((b - c) * q - (b - a) * r) / (2.0 * np.copysign(max(abs(q - r), _TINY), q - r))
+            tol1 = x_tol * abs(c) + max(x_tol, np.sqrt(2.0 * _EPS * (abs(fc) + 1.0) / kappa))
+            if abs(vertex - c) <= tol1:
+                # the parabola places the minimum within tol1 of c
+                return LineResult(t=c, fval=fc, evals=evals, bracketed=True)
+            if (vertex - u) * (c - b) > 0.0:
+                # past the golden step: probe the vertex, at most _GROW_LIMIT steps out
+                limit = c + _GROW_LIMIT * (c - b)
+                u = limit if (vertex - limit) * (c - b) > 0.0 else vertex
         if evals >= _LINE_BUDGET:
             # still descending; report the farthest (best) sample
             t_best, f_best = (c, fc) if fc <= f0 else (0.0, f0)
             return LineResult(t=t_best, fval=f_best, evals=evals, bracketed=False)
         a, fa = b, fb
         b, fb = c, fc
-        c = b + _PHI * (b - a)
-        fc = call(c)
+        c, fc = u, call(u)
 
     lo, hi = (a, c) if a < c else (c, a)
     x, fx = b, fb

@@ -75,6 +75,12 @@ class TestLineMinimize:
             pytest.param(lambda t: abs(t + 0.7) + 0.5 * abs(t - 0.2), 0.3, id="two-kinks"),
             pytest.param(lambda t: np.sin(37 * t) + 0.1 * t * t, 1.0, id="fast-oscillation"),
             pytest.param(lambda t: np.cos(5.0 * t) * np.exp(-0.1 * t * t), 0.2, id="damped-wave"),
+            # minima many start steps away, reached by parabolic extrapolation
+            pytest.param(lambda t: (t - 40.0) ** 2, 1.0, id="far-quadratic"),
+            pytest.param(lambda t: (t + 300.0) ** 2 + 1.0, 0.5, id="far-negative"),
+            pytest.param(lambda t: np.cosh((t - 25.0) / 3.0), 1.0, id="far-cosh"),
+            pytest.param(lambda t: -1.0 / (1.0 + ((t - 60.0) / 5.0) ** 2), 1.0, id="far-lorentzian"),
+            pytest.param(lambda t: (t - 1e6) ** 2, 1.0, id="past-the-cap"),
         ],
     )
     @pytest.mark.parametrize("x_tol", [1e-4, 1e-10])
@@ -114,6 +120,62 @@ class TestLineMinimize:
         assert res.t < 0  # walked downhill as far as the budget allowed
         assert res.fval == res.t
 
+    @pytest.mark.parametrize(
+        "f,t0",
+        [
+            pytest.param(lambda t: -t, -1.0, id="linear"),
+            pytest.param(lambda t: -t * t, 1.0, id="concave"),
+            pytest.param(lambda t: -t * t + 3.0 * t, -0.5, id="concave-uphill-start"),
+        ],
+    )
+    def test_unbounded_line_exhausts_budget(self, f, t0):
+        # no convex parabola through three falling points, so no vertex is
+        # probed: golden steps to the budget, and the best (farthest) sample
+        # comes back unbracketed (f = t is test_monotone_returns_best_sample_with_flag)
+        values = []
+
+        def recorded(t):
+            values.append(float(f(t)))
+            return values[-1]
+
+        res = line_minimize(recorded, t0)
+        assert not res.bracketed
+        assert res.evals == 100
+        assert res.fval == min(values)
+        assert np.isfinite(res.t)
+
+    def test_far_minimum_bracketed_by_extrapolation(self):
+        # 0, 1 and 1 + φ lie on the parabola (t - 40)², whose vertex 40 is
+        # probed at once; the next parabola's vertex is within tol1 of 40,
+        # so no probe confirms it.  Golden steps alone took 9 calls
+        res = line_minimize(lambda t: (t - 40.0) ** 2, 1.0, f_origin=1600.0)
+        assert res.bracketed
+        assert res.evals <= 3
+        eps = np.finfo(float).eps
+        tol1 = 1e-10 * 40.0 + max(1e-10, np.sqrt(2.0 * eps * (res.fval + 1.0) / 2.0))
+        assert abs(res.t - 40.0) <= tol1
+
+    def test_extrapolation_capped_at_grow_limit(self):
+        # the vertex 1e6 lies past c + 100·(c − b) for the first probes:
+        # while f falls, no probe goes farther than that cap beyond c
+        probes = []
+
+        def recorded(t):
+            probes.append(float(t))
+            return (t - 1e6) ** 2
+
+        res = line_minimize(recorded, 1.0, f_origin=1e12)
+        assert res.bracketed
+        assert abs(res.t - 1e6) <= 1e-3
+        ts = [0.0] + probes
+        ratios = []
+        for b, c, u in zip(ts, ts[1:], ts[2:]):
+            if not b < c < u:
+                break
+            ratios.append((u - c) / (c - b))
+        assert ratios and max(ratios) <= 100.0 * (1.0 + 1e-12)
+        assert sum(r >= 100.0 * (1.0 - 1e-12) for r in ratios) >= 2  # the cap binds
+
     def test_never_worse_than_origin(self):
         # a nasty oscillation: whatever happens, the result must not be uphill
         res = line_minimize(lambda t: np.sin(37 * t) + 0.1 * t * t, 1.0)
@@ -122,6 +184,22 @@ class TestLineMinimize:
     def test_zero_t0_rejected(self):
         with pytest.raises(ValueError):
             line_minimize(lambda t: t * t, 0.0)
+
+    @pytest.mark.parametrize("t0", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_t0_rejected(self, t0):
+        # NaN once ran the budget to t = nan; ±inf to "bracketed" at t = 0
+        calls = []
+        with pytest.raises(ValueError, match="t0"):
+            line_minimize(lambda t: calls.append(t) or t * t, t0)
+        assert calls == []
+
+    @pytest.mark.parametrize("x_tol", [float("nan"), float("inf"), 0.0, -1e-10])
+    def test_bad_x_tol_rejected(self, x_tol):
+        # NaN once ran (t - 1)² to the budget; three calls solve it
+        calls = []
+        with pytest.raises(ValueError, match="x_tol"):
+            line_minimize(lambda t: calls.append(t) or (t - 1.0) ** 2, 1.0, x_tol=x_tol)
+        assert calls == []
 
     def test_refinement_seeded_with_bracket(self):
         # the bracket end points seed the first parabola; refining from a
@@ -372,11 +450,14 @@ class TestPowellMinimize:
     def test_one_sweep_from_bundled_n6_chart(self):
         # the `optimize --resume` case: one volume sweep from the stored
         # chart, whose line minima lie at |t| ~ 1e-5; fresh directions that
-        # start at 1 rad took 3,494 evaluations here, 5.71 per line
+        # start at 1 rad took 3,494 evaluations here, 5.71 per line, and
+        # brackets grown by golden steps alone took 2,292, 3.74 per line
+        # (2,104 with parabolic extrapolation; the margin covers last-bit
+        # BLAS differences)
         objective = make_objective(NEG_LOG_QUALITY, 6, 3)
         x0 = bundled_chart_n6()
         res = powell_minimize(objective, x0, PowellConfig(x_tol=1e-9, f_tol=1e-12), 1)
-        assert res.nfev <= 2600
+        assert res.nfev <= 2200
         before = evaluate_quorum(quorum_from_chart(x0, 6, 3)).relative_deviation
         after = evaluate_quorum(quorum_from_chart(res.x_best, 6, 3)).relative_deviation
         assert after <= 0.98 * before
