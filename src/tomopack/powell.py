@@ -1,6 +1,7 @@
 """Derivative-free minimization: Powell's direction-set method (1964)
 with a bracketing line search refined by Brent's (1973) golden-section/
-parabolic steps.
+parabolic steps, which step to the kink of a V model where no parabola
+fits (as in Mifflin & Strodiot's five-point method, 1993).
 
 No gradients anywhere; the only structure assumed of the objective is that
 it is finite at the start point.  Everything is deterministic.
@@ -52,6 +53,10 @@ class PowellConfig:
     through the three best points puts its vertex within tol1 of the best
     point, which on a smooth line says the same a few calls earlier; the
     parabola test applies while the bracket is still being expanded too.
+    On a kinked line no parabola fits: where refinement would take a
+    golden section, it steps to the kink of a V model through the nearest
+    samples instead, then probes tol1 beside the kink so that the bracket
+    test ends the line a few calls later.
     How a line search brackets (golden steps, or the vertex of the
     parabola through its last three points), and its budget of 100
     objective calls, are fixed (see ``line_minimize``).  The sweep cap is
@@ -118,6 +123,25 @@ def line_minimize(
     point as Brent's second-best), so its first step can be the parabola
     through them rather than a golden section.
 
+    Where Brent would take a golden section (no parabola, or one that
+    fails his safeguards), the refinement tries a V model first, for lines
+    such as ln L = ln Σ|G_ij|, whose minimum sits on a kink where no
+    parabola fits.  From the two nearest samples on each side of the best
+    point x it intersects the secant through the two left samples with the
+    secant through x and its right neighbour (a kink left of x), and the
+    secant through x and its left neighbour with the secant through the two
+    right samples (a kink right of x).  A candidate counts if its left
+    secant falls, its right secant rises and the intersection lies in its
+    own interval; the lower model value wins.  That kink is probed under
+    Brent's safeguards for a parabolic step: at least 2·tol1 inside the
+    bracket, at least tol1 from x, and shorter than half the step before
+    last; otherwise the golden section is taken.  A kink within tol1 of x
+    is closed instead: the probe goes to x ± tol1 toward the bracket's
+    wider side, after which Brent's exit can fire.  If such a closing probe
+    lands below f(x), there was no kink at x (a jump beside it, say), and
+    the line closes no more kinks.  A line on which every parabolic step
+    passes Brent's safeguards never builds the model.
+
     Refinement has two exits.  Brent's: the bracket has shrunk to within
     2·tol1 of the best point x; this one ends every search, also on kinked
     or noisy lines where parabolas mislead.  The parabola's: an accepted
@@ -128,9 +152,18 @@ def line_minimize(
     bracketing too: if the convex parabola through a, b and c puts its
     vertex within tol1 of c (tol1 and δ taken at c), the search returns c
     with ``bracketed=True`` and no confirming probe.  Either way the result
-    is the lowest point sampled.  A search makes at most 100 objective
-    calls; if they run out with f still falling, the best sampled point is
-    returned with ``bracketed=False``.  The result never lies above f(0).
+    is the lowest point sampled.
+
+    The floor δ and both parabola exits assume a smooth line.  On a V the
+    bracket's κ measures the arms' slopes, not a curvature at the minimum,
+    so δ can be coarser than the line allows; and a parabola through points
+    on both arms can put its vertex within tol1 of x while the kink lies
+    farther off.  ``line_minimize(lambda t: abs(t - 2.2), 1.5, x_tol=1e-4)``
+    returns t = 2.19238, 24·tol1 from the kink, by the parabola exit.
+
+    A search makes at most 100 objective calls; if they run out with f
+    still falling, the best sampled point is returned with
+    ``bracketed=False``.  The result never lies above f(0).
     ``f_origin``, when given, is f(0), which is then not evaluated again.
     ``t0`` must be finite and nonzero and ``x_tol`` finite and positive
     (``ValueError`` otherwise).
@@ -140,13 +173,16 @@ def line_minimize(
     if not 0.0 < x_tol < np.inf:  # NaN fails too
         raise ValueError(f"x_tol must be finite and positive, got {x_tol}")
     evals = 0
+    samples = {}  # every f(t) of this line, f(0) included, by t
 
     def call(t):
         nonlocal evals
         evals += 1
-        return float(f(t))
+        samples[t] = float(f(t))
+        return samples[t]
 
     a, fa = 0.0, (call(0.0) if f_origin is None else float(f_origin))
+    samples[a] = fa
     f0 = fa
     b, fb = float(t0), call(t0)
     if fb > fa:
@@ -191,6 +227,7 @@ def line_minimize(
     # the bracket end points are the first parabola's other two points.
     (w, fw), (v, fv) = ((a, fa), (c, fc)) if fa <= fc else ((c, fc), (a, fa))
     d = e = hi - lo
+    close_kinks = True  # until a closing probe lands below f(x)
     while evals < _LINE_BUDGET:
         m = 0.5 * (lo + hi)
         tol1 = x_tol * abs(x) + floor
@@ -198,6 +235,8 @@ def line_minimize(
         if abs(x - m) <= tol2 - 0.5 * (hi - lo):
             break
         use_golden = True
+        closing = False
+        e_prev = e
         if abs(e) > tol1:
             # parabola through (x, fx), (w, fw), (v, fv)
             r = (x - w) * (fx - fv)
@@ -207,7 +246,6 @@ def line_minimize(
             if qd > 0.0:
                 p = -p
             qd = abs(qd)
-            e_prev = e
             e = d
             if abs(p) < abs(0.5 * qd * e_prev) and qd * (lo - x) < p < qd * (hi - x):
                 d = p / qd
@@ -221,8 +259,20 @@ def line_minimize(
         if use_golden:
             e = (hi - x) if x < m else (lo - x)
             d = _CGOLD * e
+            # no parabola to trust, perhaps at a kink: step to the V model's
+            # kink under the parabola's safeguards, or close the bracket's
+            # wider side by Brent's tol1 nudge once the kink is located
+            k = _v_kink(samples, x, fx)
+            if k is not None and abs(k - x) < tol1:
+                if close_kinks:
+                    d = tol1 if x < m else -tol1
+                    closing = True
+            elif k is not None and lo + tol2 <= k <= hi - tol2 and abs(k - x) < abs(0.5 * e_prev):
+                d = e = k - x
         u = x + (d if abs(d) >= tol1 else (tol1 if d > 0 else -tol1))
         fu = call(u)
+        if closing and fu < fx:
+            close_kinks = False  # no kink at x after all, e.g. a jump beside it
         if fu <= fx:
             if u >= x:
                 lo = x
@@ -241,6 +291,42 @@ def line_minimize(
             elif fu <= fv or v == x or v == w:
                 v, fv = u, fu
     return LineResult(t=x, fval=fx, evals=evals, bracketed=True)
+
+
+def _secant_kink(p, q, r, s):
+    """Where the secant through points p, q meets the secant through r, s,
+    as (t, f); None unless the first falls and the second rises."""
+    left = (q[1] - p[1]) / (q[0] - p[0])
+    right = (s[1] - r[1]) / (s[0] - r[0])
+    if not left < 0.0 < right:
+        return None
+    t = (r[1] - q[1] + left * q[0] - right * r[0]) / (left - right)
+    return t, q[1] + left * (t - q[0])
+
+
+def _v_kink(samples, x, fx):
+    """The kink of the V model of a line around its best point x, or None.
+
+    The model is built from the two nearest samples on each side of x.  A
+    kink left of x is where the secant through the two left samples meets
+    the secant through x and its right neighbour; a kink right of x is where
+    the secant through x and its left neighbour meets the secant through the
+    two right samples.  Each counts only inside its own interval, and the
+    lower of the two wins (a polyhedral model, as in Mifflin & Strodiot's
+    five-point method, Math. Programming 62, 1993).
+    """
+    left = sorted((t, f) for t, f in samples.items() if t < x)[-2:]
+    right = sorted((t, f) for t, f in samples.items() if t > x)[:2]
+    best = None
+    if len(left) == 2 and right:
+        kink = _secant_kink(left[0], left[1], (x, fx), right[0])
+        if kink is not None and left[1][0] <= kink[0] <= x:
+            best = kink
+    if left and len(right) == 2:
+        kink = _secant_kink(left[-1], (x, fx), right[0], right[1])
+        if kink is not None and x <= kink[0] <= right[0][0] and (best is None or kink[1] < best[1]):
+            best = kink
+    return None if best is None else best[0]
 
 
 def _directions_degenerate(directions: np.ndarray) -> bool:

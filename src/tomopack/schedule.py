@@ -48,8 +48,10 @@ class ScheduleConfig:
     """Phase layout of one optimization run plus restart bookkeeping.
 
     ``l_phase_length`` caps the ln(L) phases separately; those sweeps cost
-    more per line search and mostly serve to unstick the volume phases, so a
-    shorter budget there is often the better trade.  None means use
+    more per line search (ln L has a kink at each line minimum: from
+    tomobench's n4 start chart, 17.1 objective calls per ln L line against
+    4.6 per volume line) and mostly serve to unstick the volume phases, so
+    a shorter budget there is often the better trade.  None means use
     ``phase_length`` for both.
     """
 
