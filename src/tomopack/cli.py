@@ -203,7 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
         "shrunk to that tolerance (this ends any line) or when its parabola's vertex lies "
         "within it of the best point (this ends a smooth line a few evaluations sooner); "
         "on a kinked line, where no parabola fits, it steps to the kink of a V model and "
-        "then probes that tolerance beside it, so the bracket closes in a few evaluations",
+        "then probes that tolerance beside it, so the bracket closes in a few evaluations; "
+        "after such a step only the bracket ends the line",
     )
     p_opt.add_argument("--workers", type=int, default=1, help="parallel restart processes")
     p_opt.add_argument("--out", required=True, help="existing directory for chart/report/trace")

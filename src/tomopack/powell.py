@@ -9,6 +9,7 @@ it is finite at the start point.  Everything is deterministic.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +57,9 @@ class PowellConfig:
     On a kinked line no parabola fits: where refinement would take a
     golden section, it steps to the kink of a V model through the nearest
     samples instead, then probes tol1 beside the kink so that the bracket
-    test ends the line a few calls later.
+    test ends the line a few calls later.  Once a line has taken such a
+    step, the V model goes before the parabola, and only the bracket test
+    ends that line.
     How a line search brackets (golden steps, or the vertex of the
     parabola through its last three points), and its budget of 100
     objective calls, are fixed (see ``line_minimize``).  The sweep cap is
@@ -139,8 +142,14 @@ def line_minimize(
     is closed instead: the probe goes to x ± tol1 toward the bracket's
     wider side, after which Brent's exit can fire.  If such a closing probe
     lands below f(x), there was no kink at x (a jump beside it, say), and
-    the line closes no more kinks.  A line on which every parabolic step
-    passes Brent's safeguards never builds the model.
+    the line closes no more kinks until a V-step lands at or below f(x).
+    A line on which every parabolic step passes Brent's safeguards never
+    builds the model.  Once a line has taken a V-step it counts as kinked:
+    every later step tries the V model first (without the half-step
+    safeguard, which guards parabolas against cycling) and falls back to
+    the parabola, then the golden section, and the parabola's exit below
+    no longer applies, since a parabola through points on both arms of a
+    V can put its vertex within tol1 of x while the kink lies farther off.
 
     Refinement has two exits.  Brent's: the bracket has shrunk to within
     2·tol1 of the best point x; this one ends every search, also on kinked
@@ -148,7 +157,8 @@ def line_minimize(
     parabolic step would move x by less than tol1, so the parabola through
     the three best points already places the minimum within tol1 of x; the
     search returns x without evaluating that step, because probes at tol1
-    from x would only confirm it.  The parabola's exit applies while
+    from x would only confirm it (not on a kinked line, as above; there the
+    step is a tol1 probe).  The parabola's exit applies while
     bracketing too: if the convex parabola through a, b and c puts its
     vertex within tol1 of c (tol1 and δ taken at c), the search returns c
     with ``bracketed=True`` and no confirming probe.  Either way the result
@@ -158,8 +168,11 @@ def line_minimize(
     bracket's κ measures the arms' slopes, not a curvature at the minimum,
     so δ can be coarser than the line allows; and a parabola through points
     on both arms can put its vertex within tol1 of x while the kink lies
-    farther off.  ``line_minimize(lambda t: abs(t - 2.2), 1.5, x_tol=1e-4)``
-    returns t = 2.19238, 24·tol1 from the kink, by the parabola exit.
+    farther off.  Only a line that has taken a V-step drops the
+    refinement's parabola exit; the bracketing one, and the refinement's
+    before any V-step, still fire on a V.
+    ``line_minimize(lambda t: abs(t - 2.2), 1.5, x_tol=1e-4)`` returns
+    t = 2.19238, 24·tol1 from the kink, by the bracketing parabola exit.
 
     A search makes at most 100 objective calls; if they run out with f
     still falling, the best sampled point is returned with
@@ -173,16 +186,18 @@ def line_minimize(
     if not 0.0 < x_tol < np.inf:  # NaN fails too
         raise ValueError(f"x_tol must be finite and positive, got {x_tol}")
     evals = 0
-    samples = {}  # every f(t) of this line, f(0) included, by t
+    samples = []  # every (t, f(t)) of this line, f(0) included, sorted by t
 
     def call(t):
         nonlocal evals
         evals += 1
-        samples[t] = float(f(t))
-        return samples[t]
+        ft = float(f(t))
+        bisect.insort(samples, (t, ft))
+        return ft
 
     a, fa = 0.0, (call(0.0) if f_origin is None else float(f_origin))
-    samples[a] = fa
+    if f_origin is not None:
+        samples.append((a, fa))
     f0 = fa
     b, fb = float(t0), call(t0)
     if fb > fa:
@@ -227,52 +242,58 @@ def line_minimize(
     # the bracket end points are the first parabola's other two points.
     (w, fw), (v, fv) = ((a, fa), (c, fc)) if fa <= fc else ((c, fc), (a, fa))
     d = e = hi - lo
-    close_kinks = True  # until a closing probe lands below f(x)
+    kinked = False  # a V-step was taken: the V model goes first from then on
+    close_kinks = True  # off from a closing probe that lands below f(x)
     while evals < _LINE_BUDGET:
         m = 0.5 * (lo + hi)
         tol1 = x_tol * abs(x) + floor
         tol2 = 2.0 * tol1
         if abs(x - m) <= tol2 - 0.5 * (hi - lo):
             break
-        use_golden = True
-        closing = False
         e_prev = e
-        if abs(e) > tol1:
-            # parabola through (x, fx), (w, fw), (v, fv)
-            r = (x - w) * (fx - fv)
-            qd = (x - v) * (fx - fw)
-            p = (x - v) * qd - (x - w) * r
-            qd = 2.0 * (qd - r)
-            if qd > 0.0:
-                p = -p
-            qd = abs(qd)
-            e = d
-            if abs(p) < abs(0.5 * qd * e_prev) and qd * (lo - x) < p < qd * (hi - x):
-                d = p / qd
-                if abs(d) < tol1:
-                    # the parabola's vertex lies within tol1 of x
-                    break
-                u = x + d
-                if (u - lo) < tol2 or (hi - u) < tol2:
-                    d = tol1 if x < m else -tol1
-                use_golden = False
-        if use_golden:
-            e = (hi - x) if x < m else (lo - x)
-            d = _CGOLD * e
-            # no parabola to trust, perhaps at a kink: step to the V model's
-            # kink under the parabola's safeguards, or close the bracket's
-            # wider side by Brent's tol1 nudge once the kink is located
-            k = _v_kink(samples, x, fx)
-            if k is not None and abs(k - x) < tol1:
-                if close_kinks:
-                    d = tol1 if x < m else -tol1
-                    closing = True
-            elif k is not None and lo + tol2 <= k <= hi - tol2 and abs(k - x) < abs(0.5 * e_prev):
-                d = e = k - x
+        # on a kinked line, the V model's kink before any parabola
+        kink = _v_step(samples, x, fx, lo, hi, tol1, np.inf) if kinked else None
+        if kink is None or (kink == 0.0 and not close_kinks):
+            use_golden = True
+            if abs(e) > tol1:
+                # parabola through (x, fx), (w, fw), (v, fv)
+                r = (x - w) * (fx - fv)
+                qd = (x - v) * (fx - fw)
+                p = (x - v) * qd - (x - w) * r
+                qd = 2.0 * (qd - r)
+                if qd > 0.0:
+                    p = -p
+                qd = abs(qd)
+                e = d
+                if abs(p) < abs(0.5 * qd * e_prev) and qd * (lo - x) < p < qd * (hi - x):
+                    d = p / qd
+                    if abs(d) < tol1 and not kinked:
+                        # the parabola's vertex lies within tol1 of x
+                        break
+                    u = x + d
+                    if (u - lo) < tol2 or (hi - u) < tol2:
+                        d = tol1 if x < m else -tol1
+                    use_golden = False
+            if use_golden:
+                e = (hi - x) if x < m else (lo - x)
+                d = _CGOLD * e
+                if not kinked:
+                    # no parabola to trust, perhaps at a kink
+                    kink = _v_step(samples, x, fx, lo, hi, tol1, abs(0.5 * e_prev))
+        closing = kink == 0.0 and close_kinks
+        if closing:
+            # the kink is located: close the bracket's wider side by
+            # Brent's tol1 nudge, after which his exit can fire
+            d = tol1 if x < m else -tol1
+        elif kink:
+            d = e = kink
+            kinked = True
         u = x + (d if abs(d) >= tol1 else (tol1 if d > 0 else -tol1))
         fu = call(u)
         if closing and fu < fx:
             close_kinks = False  # no kink at x after all, e.g. a jump beside it
+        elif kink and fu <= fx:
+            close_kinks = True  # a kink found afresh
         if fu <= fx:
             if u >= x:
                 lo = x
@@ -307,16 +328,18 @@ def _secant_kink(p, q, r, s):
 def _v_kink(samples, x, fx):
     """The kink of the V model of a line around its best point x, or None.
 
-    The model is built from the two nearest samples on each side of x.  A
-    kink left of x is where the secant through the two left samples meets
-    the secant through x and its right neighbour; a kink right of x is where
-    the secant through x and its left neighbour meets the secant through the
-    two right samples.  Each counts only inside its own interval, and the
-    lower of the two wins (a polyhedral model, as in Mifflin & Strodiot's
-    five-point method, Math. Programming 62, 1993).
+    The model is built from the two nearest samples on each side of x in
+    ``samples``, a list of (t, f) sorted by t.  A kink left of x is where
+    the secant through the two left samples meets the secant through x and
+    its right neighbour; a kink right of x is where the secant through x
+    and its left neighbour meets the secant through the two right samples.
+    Each counts only inside its own interval, and the lower of the two wins
+    (a polyhedral model, as in Mifflin & Strodiot's five-point method,
+    Math. Programming 62, 1993).
     """
-    left = sorted((t, f) for t, f in samples.items() if t < x)[-2:]
-    right = sorted((t, f) for t, f in samples.items() if t > x)[:2]
+    i = bisect.bisect_left(samples, (x,))
+    j = bisect.bisect_right(samples, (x, np.inf), i)
+    left, right = samples[max(i - 2, 0):i], samples[j:j + 2]
     best = None
     if len(left) == 2 and right:
         kink = _secant_kink(left[0], left[1], (x, fx), right[0])
@@ -327,6 +350,21 @@ def _v_kink(samples, x, fx):
         if kink is not None and x <= kink[0] <= right[0][0] and (best is None or kink[1] < best[1]):
             best = kink
     return None if best is None else best[0]
+
+
+def _v_step(samples, x, fx, lo, hi, tol1, limit):
+    """The step from x to the V model's kink under Brent's safeguards for a
+    parabolic step: at least 2·tol1 inside (lo, hi), at least tol1 from x
+    and shorter than ``limit``.  0.0 when the kink lies within tol1 of x,
+    None when there is no kink or the step fails them."""
+    k = _v_kink(samples, x, fx)
+    if k is None:
+        return None
+    if abs(k - x) < tol1:
+        return 0.0
+    if lo + 2.0 * tol1 <= k <= hi - 2.0 * tol1 and abs(k - x) < limit:
+        return k - x
+    return None
 
 
 def _directions_degenerate(directions: np.ndarray) -> bool:

@@ -49,8 +49,8 @@ class ScheduleConfig:
 
     ``l_phase_length`` caps the ln(L) phases separately; those sweeps cost
     more per line search (ln L has a kink at each line minimum: from
-    tomobench's n4 start chart, 17.1 objective calls per ln L line against
-    4.6 per volume line) and mostly serve to unstick the volume phases, so
+    tomobench's n4 start chart, 15.0 objective calls per ln L line against
+    4.7 per volume line) and mostly serve to unstick the volume phases, so
     a shorter budget there is often the better trade.  None means use
     ``phase_length`` for both.
     """
