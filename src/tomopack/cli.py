@@ -195,7 +195,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--l-sweeps-per-phase", type=int, default=sc.l_phase_length,
         help="separate sweep cap for the ln(L) phases (default: same as --sweeps-per-phase)",
     )
-    p_opt.add_argument("--f-tol", type=float, default=pc.f_tol, help="Powell relative objective tolerance")
+    p_opt.add_argument(
+        "--f-tol", type=float, default=pc.f_tol,
+        help="Powell relative objective tolerance: a run stops when a sweep gains less than "
+        "this, and each line search resolves f only to this relative change (or to one "
+        "rounding unit, whichever is coarser)",
+    )
     p_opt.add_argument(
         "--x-tol", type=float, default=pc.x_tol,
         help="line-search parameter tolerance, coarsened to the line's resolution, where f "

@@ -3,7 +3,8 @@ with a bracketing line search refined by Brent's (1973) golden-section/
 parabolic steps, which step to the kink of a V model where no parabola
 fits (as in Mifflin & Strodiot's five-point method, 1993).  Each direction
 keeps the curvature its last line search measured, as Brent's PRAXIS
-does, so that the next one brackets with fewer calls.
+does, so that the next one brackets with fewer calls.  A line inside a run
+is located only as closely as the run's f_tol can tell points apart.
 
 No gradients anywhere; the only structure assumed of the objective is that
 it is finite at the start point.  Everything is deterministic.
@@ -47,10 +48,16 @@ class PowellConfig:
     """Tolerances of one Powell run.
 
     f_tol is the relative objective decrease over a sweep below which the
-    run stops; x_tol is the line-search parameter tolerance: refinement
-    stops once the minimum is located within tol1 = x_tol·|t| + max(x_tol, δ)
-    on the line parameter t, where δ is the line's resolution, the distance
-    over which the bracket's parabola changes f by one rounding unit.  The
+    run stops, and it also sets each line's resolution; x_tol is the
+    line-search parameter tolerance: refinement stops once the minimum is
+    located within tol1 = x_tol·|t| + max(x_tol, δ) on the line parameter t,
+    where δ = sqrt(2·max(ε, f_tol)·(|f| + 1)/κ) is the line's resolution,
+    the distance over which the bracket's parabola (curvature κ) changes f
+    by max(ε, f_tol)·(|f| + 1), ε the machine epsilon.  Where |f| is 1 or
+    more, a finer location would buy gains that the run's own stopping test
+    counts as nothing (on tomobench's n4_search, 13,741 evaluations to 1e-4
+    instead of 17,575 at ε); where |f| is far below 1, that test, relative
+    to |f|, is finer than δ.  The
     minimum counts as located when the bracket has shrunk to about 2·tol1
     around the best point, which holds on any line, or when the parabola
     through the three best points puts its vertex within tol1 of the best
@@ -112,6 +119,7 @@ def line_minimize(
     x_tol: float = 1e-10,
     f_origin: float | None = None,
     curvature: float | None = None,
+    f_tol: float = 0.0,
 ) -> LineResult:
     """Minimize a 1-D function starting from the points t=0 and t=t0.
 
@@ -136,15 +144,22 @@ def line_minimize(
     probes the vertex of the convex parabola through the last three points
     wherever it lies, between b and c too.  Without a curvature (None, NaN
     or κ <= 0) the search runs as above.  On tomobench's n4_search, volume
-    lines take 4.08 calls each with it and 4.69 without.
+    lines took 4.08 calls each with it and 4.69 without, resolved to
+    machine epsilon; resolved to its f_tol = 1e-12 (below), they take 3.13.
 
     Then refines inside the bracket with Brent's parabolic/golden steps
     down to tol1 = x_tol·|t| + max(x_tol, δ).
-    δ = sqrt(2 ε (|f(b)| + 1) / κ) is the resolution of the line: with
-    κ = 2·f[a, b, c] the curvature of the bracket (a, b, c) and ε the
-    machine epsilon, the bracket's parabola changes f by less than one
-    rounding unit over δ, so no finer location is meaningful (Brent 1973,
-    §5).  When κ <= 0, δ is not defined and x_tol alone applies.
+    δ = sqrt(2 r (|f(b)| + 1) / κ) is the resolution of the line, with
+    r = max(ε, ``f_tol``): with κ = 2·f[a, b, c] the curvature of the
+    bracket (a, b, c), the bracket's parabola changes f by less than
+    r·(|f(b)| + 1) over δ.  At ``f_tol`` = 0, r is the machine epsilon ε
+    and δ the distance below which f changes by less than one rounding
+    unit, so no finer location is meaningful (Brent 1973, §5); a caller
+    that stops once f gains less than ``f_tol`` relative, as
+    ``powell_minimize`` does, passes its ``f_tol`` and so stops resolving
+    f below it.  The same δ sets tol1 in the curvature probe and the
+    bracketing parabola exit.  When κ <= 0, δ is not defined and x_tol
+    alone applies.
     The refinement starts from all three bracket points (the better end
     point as Brent's second-best), so its first step can be the parabola
     through them rather than a golden section.
@@ -201,13 +216,17 @@ def line_minimize(
     still falling, the best sampled point is returned with
     ``bracketed=False``.  The result never lies above f(0).
     ``f_origin``, when given, is f(0), which is then not evaluated again.
-    ``t0`` must be finite and nonzero and ``x_tol`` finite and positive
-    (``ValueError`` otherwise).
+    ``t0`` must be finite and nonzero, ``x_tol`` finite and positive and
+    ``f_tol`` finite and nonnegative (``ValueError`` otherwise).
     """
     if not (np.isfinite(t0) and t0 != 0.0):
         raise ValueError(f"t0 must be finite and nonzero, got {t0}")
     if not 0.0 < x_tol < np.inf:  # NaN fails too
         raise ValueError(f"x_tol must be finite and positive, got {x_tol}")
+    if not 0.0 <= f_tol < np.inf:  # NaN fails too
+        raise ValueError(f"f_tol must be finite and nonnegative, got {f_tol}")
+    # the relative change of f below which δ counts points as equal
+    resolution = max(_EPS, f_tol)
     evals = 0
     samples = []  # every (t, f(t)) of this line, f(0) included, sorted by t
 
@@ -229,7 +248,7 @@ def line_minimize(
     if curvature is not None and 0.0 < curvature < np.inf:  # NaN fails too
         u = b / 2.0 - (fb - fa) / (curvature * b)
         u = min(max(u, -_GROW_LIMIT * abs(b)), _GROW_LIMIT * abs(b))
-        delta = np.sqrt(2.0 * _EPS * (abs(min(fa, fb)) + 1.0) / curvature)
+        delta = np.sqrt(2.0 * resolution * (abs(min(fa, fb)) + 1.0) / curvature)
         tol1 = x_tol * abs(u) + max(x_tol, delta)
         if abs(u) > tol1 and abs(u - b) > tol1:
             probe = u
@@ -254,7 +273,7 @@ def line_minimize(
             r = (b - a) * (fb - fc)
             q = (b - c) * (fb - fa)
             vertex = b - ((b - c) * q - (b - a) * r) / (2.0 * np.copysign(max(abs(q - r), _TINY), q - r))
-            tol1 = x_tol * abs(c) + max(x_tol, np.sqrt(2.0 * _EPS * (abs(fc) + 1.0) / kappa))
+            tol1 = x_tol * abs(c) + max(x_tol, np.sqrt(2.0 * resolution * (abs(fc) + 1.0) / kappa))
             if abs(vertex - c) <= tol1:
                 # the parabola places the minimum within tol1 of c
                 return LineResult(t=c, fval=fc, evals=evals, bracketed=True, curvature=kappa)
@@ -278,11 +297,12 @@ def line_minimize(
     lo, hi = (a, c) if a < c else (c, a)
     x, fx = b, fb
     # Locating x more closely than the distance over which the bracket's
-    # parabola changes f by one rounding unit only chases rounding noise.
+    # parabola changes f by one rounding unit only chases rounding noise,
+    # and by f_tol relative only gains what the caller counts as nothing.
     kappa = 2.0 * ((fc - fb) / (c - b) - (fb - fa) / (b - a)) / (c - a)
     floor = x_tol
     if kappa > 0.0:
-        floor = max(x_tol, np.sqrt(2.0 * _EPS * (abs(fb) + 1.0) / kappa))
+        floor = max(x_tol, np.sqrt(2.0 * resolution * (abs(fb) + 1.0) / kappa))
     # Brent refinement: parabolic step when trustworthy, golden otherwise;
     # the bracket end points are the first parabola's other two points.
     (w, fw), (v, fv) = ((a, fa), (c, fc)) if fa <= fc else ((c, fc), (a, fa))
@@ -455,6 +475,15 @@ def powell_minimize(
     this takes the evaluations to a deviation of 1e-4 from 19,688 to
     17,575.
 
+    Every line search gets ``cfg.f_tol`` as its ``f_tol``, so it resolves
+    f to the relative change that the sweep test registers, not to machine
+    epsilon.  This takes n4_search from 17,575 evaluations to 13,741 (3.70
+    calls per line instead of 4.74) and one sweep from the bundled n = 6
+    chart from 2,000 to 1,866.  Where |f| is far below 1, the sweep test,
+    relative to |f|, still counts gains that δ, relative to |f| + 1, no
+    longer resolves: n = 4 runs, whose f tends to 0, reach a deviation of
+    1e-8 less often.
+
     ``callback(x, fval, nfev, sweep)`` runs after every sweep.
 
     Every accepted line minimum becomes x, and a line search returns the
@@ -502,6 +531,7 @@ def powell_minimize(
                 x_tol=cfg.x_tol,
                 f_origin=f_prev,
                 curvature=curvatures[i],
+                f_tol=cfg.f_tol,
             )
             curvatures[i] = line.curvature
             if line.fval < f_cur and line.t != 0.0:
@@ -534,6 +564,7 @@ def powell_minimize(
                     t0=1.0,
                     x_tol=cfg.x_tol,
                     f_origin=f_cur,
+                    f_tol=cfg.f_tol,
                 )
                 if line.fval < f_cur and line.t != 0.0:
                     x = x + line.t * disp

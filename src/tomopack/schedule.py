@@ -49,9 +49,9 @@ class ScheduleConfig:
 
     ``l_phase_length`` caps the ln(L) phases separately; those sweeps cost
     more per line search (ln L has a kink at each line minimum: from
-    tomobench's n4 start chart, 15.0 objective calls per ln L line against
-    4.1 per volume line, whose search can start from its direction's last
-    curvature) and mostly serve to unstick the volume phases, so
+    tomobench's n4 start chart, 12.7 objective calls per ln L line against
+    3.1 per volume line, whose search can start from its direction's last
+    curvature; 15.0 and 4.1 with lines resolved to machine epsilon) and mostly serve to unstick the volume phases, so
     a shorter budget there is often the better trade.  None means use
     ``phase_length`` for both.
     """

@@ -91,6 +91,28 @@ def test_powell_passes_f_origin_by_keyword(monkeypatch):
     assert calls and all(calls)
 
 
+def test_powell_passes_f_tol_by_keyword(monkeypatch):
+    # each line's resolution δ follows the run's f_tol: every line search,
+    # along a direction or the sweep displacement, receives it by keyword
+    passed = []
+    real_line = tomopack.powell.line_minimize
+
+    def checked_line(f, *args, **kwargs):
+        passed.append((kwargs.get("f_tol"), "curvature" in kwargs))
+        return real_line(f, *args, **kwargs)
+
+    monkeypatch.setattr(tomopack.powell, "line_minimize", checked_line)
+    cfg = tomopack.powell.PowellConfig(f_tol=1e-12)
+    tomopack.powell.powell_minimize(
+        lambda x: float((x[0] - 1.0) ** 2 + 3.0 * (x[1] + x[0]) ** 2),
+        np.array([0.3, 0.2]),
+        cfg,
+        4,
+    )
+    assert {direction for _, direction in passed} == {True, False}  # both kinds ran
+    assert all(f_tol == cfg.f_tol for f_tol, _ in passed)
+
+
 class TestStopPointHook:
     """n4_search finds the chart where a target is met by noting the chart
     of the last ``schedule.quorum_from_chart`` call whenever

@@ -332,6 +332,45 @@ class TestLineMinimize:
         assert abs(res.t - 0.3) <= 1e-15
         assert res.fval == 5.0
 
+    @pytest.mark.parametrize(
+        "f,t0", LINES + [pytest.param(*p.values[:2], id=p.id) for p in KINKED_LINES]
+    )
+    def test_zero_f_tol_searches_as_before(self, f, t0):
+        # f_tol = 0 leaves δ at machine epsilon: a standalone line search
+        # samples exactly as with no f_tol given
+        def searched(**kwargs):
+            probes = []
+            res = line_minimize(lambda t: probes.append(t) or f(t), t0, x_tol=1e-10, **kwargs)
+            return res, probes
+
+        res, probes = searched(f_tol=0.0)
+        ref, ref_probes = searched()
+        assert (res.t, res.fval, res.evals) == (ref.t, ref.fval, ref.evals)
+        assert res.curvature == ref.curvature or np.isnan(res.curvature) and np.isnan(ref.curvature)
+        assert probes == ref_probes
+
+    def test_f_tol_sets_line_resolution(self):
+        # a start 1e-6 from the minimum: at f_tol = 1e-12, δ = sqrt(2·f_tol
+        # ·(|f| + 1)/κ) ≈ 2.4e-6, so the bracketing parabola accepts it; at
+        # f_tol = 0, δ ≈ 3.7e-8 and the vertex is probed.  Located within δ
+        # (or 2δ, by the bracket), f lies at most 4·f_tol·(|f| + 1) above
+        # the minimum on a parabola
+        def f(t):
+            return (t - 0.3) ** 2 + 5.0
+
+        coarse = line_minimize(f, 0.3 + 1e-6, x_tol=1e-12, f_tol=1e-12)
+        fine = line_minimize(f, 0.3 + 1e-6, x_tol=1e-12, f_tol=0.0)
+        assert coarse.bracketed
+        assert coarse.evals < fine.evals
+        assert coarse.fval - 5.0 <= 4.0 * 1e-12 * (abs(coarse.fval) + 1.0)
+
+    @pytest.mark.parametrize("f_tol", [-1.0, float("nan"), float("inf")])
+    def test_bad_f_tol_rejected(self, f_tol):
+        calls = []
+        with pytest.raises(ValueError, match="f_tol"):
+            line_minimize(lambda t: calls.append(t) or (t - 1.0) ** 2, 1.0, f_tol=f_tol)
+        assert calls == []
+
     def test_constant_function_terminates(self):
         # a flat bracket has curvature 0: no resolution floor, x_tol alone
         res = line_minimize(lambda t: 3.0, 1.0, x_tol=1e-10)
@@ -635,12 +674,13 @@ class TestPowellMinimize:
         # start at 1 rad took 3,494 evaluations here, 5.71 per line, and
         # brackets grown by golden steps alone took 2,292, 3.74 per line
         # (2,104 with parabolic extrapolation, 2,000 with the V model on its
-        # five lines that cross a θ₁ = π/2 wall of the chart map; the margin
+        # five lines that cross a θ₁ = π/2 wall of the chart map, 1,866 with
+        # each line resolved to f_tol instead of machine epsilon; the margin
         # covers last-bit BLAS differences)
         objective = make_objective(NEG_LOG_QUALITY, 6, 3)
         x0 = bundled_chart_n6()
         res = powell_minimize(objective, x0, PowellConfig(x_tol=1e-9, f_tol=1e-12), 1)
-        assert res.nfev <= 2050
+        assert res.nfev <= 1950
         before = evaluate_quorum(quorum_from_chart(x0, 6, 3)).relative_deviation
         after = evaluate_quorum(quorum_from_chart(res.x_best, 6, 3)).relative_deviation
         assert after <= 0.98 * before
@@ -649,22 +689,25 @@ class TestPowellMinimize:
         # from the second sweep on, a line that knows its direction's
         # curvature probes the vertex of the parabola through f(0) and f(t0)
         # instead of a golden step: 5,871 evaluations without it, 5,178
-        # with it, and the run ends as low
+        # with it, and the run ends as low.  Lines resolved to f_tol = 1e-12
+        # instead of machine epsilon take 4,289, and f ends at 0.0237957
+        # instead of 0.0237974
         objective = make_objective(NEG_LOG_QUALITY, 4, 2)
         x0 = random_chart(np.random.default_rng(1), 4, 2)
         res = powell_minimize(objective, x0, PowellConfig(x_tol=1e-9, f_tol=1e-12), 8)
         assert res.nit == 8
-        assert res.nfev <= 5500
+        assert res.nfev <= 4600
         assert res.fun <= 0.0238
 
     def test_one_log_l_sweep_on_n4_chart(self):
         # ln L has a kink wherever a G_ij crosses zero, and a line minimum
         # sits on one: with golden sections where the parabola failed, this
-        # sweep took 2,996 evaluations; the V model takes 2,182
+        # sweep took 2,996 evaluations; the V model takes 2,182, and 1,810
+        # with each line resolved to f_tol = 1e-12 instead of machine epsilon
         objective = make_objective(LOG_L, 4, 2)
         x0 = random_chart(np.random.default_rng(1), 4, 2)
         res = powell_minimize(objective, x0, PowellConfig(x_tol=1e-9, f_tol=1e-12), 1)
-        assert res.nfev <= 2600
+        assert res.nfev <= 2000
         assert res.fun < objective(x0)
 
     def test_degenerate_direction_set_detection(self):
