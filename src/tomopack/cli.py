@@ -198,8 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument(
         "--f-tol", type=float, default=pc.f_tol,
         help="Powell relative objective tolerance: a run stops when a sweep gains less than "
-        "this, and each line search resolves f only to this relative change (or to one "
-        "rounding unit, whichever is coarser)",
+        "this; the first sweep's line searches resolve f only to this relative change (or "
+        "to one rounding unit, whichever is coarser), later ones to 1%% of the last sweep's "
+        "gain shared out over its lines",
     )
     p_opt.add_argument(
         "--x-tol", type=float, default=pc.x_tol,

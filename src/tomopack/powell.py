@@ -4,7 +4,10 @@ parabolic steps, which step to the kink of a V model where no parabola
 fits (as in Mifflin & Strodiot's five-point method, 1993).  Each direction
 keeps the curvature its last line search measured, as Brent's PRAXIS
 does, so that the next one brackets with fewer calls.  A line inside a run
-is located only as closely as the run's f_tol can tell points apart.
+is located only as closely as the run needs: in its first sweep to the
+run's f_tol, from its second on to 1 % of the last sweep's gain, shared
+out over the sweep's lines (Brent 1973, ch. 7, likewise ties line accuracy
+to the progress of the whole search).
 
 No gradients anywhere; the only structure assumed of the objective is that
 it is finite at the start point.  Everything is deterministic.
@@ -41,6 +44,11 @@ _GROW_LIMIT = 100.0
 # that has none of its own yet.
 _STEP_GROWTH = 2.0
 _STEP_FLOOR = 1e-6
+# From a run's second sweep on, each line gives up at most _LINE_SHARE of
+# the last sweep's gain, shared out over its n lines.  On n4_search's start
+# charts 1-8, 1e-3 and 3e-2 take at most 4.3 % more evaluations to 1e-4
+# than 1e-2, and 1e-1 takes 16 % more.
+_LINE_SHARE = 1e-2
 
 
 @dataclass(frozen=True)
@@ -48,16 +56,18 @@ class PowellConfig:
     """Tolerances of one Powell run.
 
     f_tol is the relative objective decrease over a sweep below which the
-    run stops, and it also sets each line's resolution; x_tol is the
-    line-search parameter tolerance: refinement stops once the minimum is
-    located within tol1 = x_tol·|t| + max(x_tol, δ) on the line parameter t,
-    where δ = sqrt(2·max(ε, f_tol)·(|f| + 1)/κ) is the line's resolution,
-    the distance over which the bracket's parabola (curvature κ) changes f
-    by max(ε, f_tol)·(|f| + 1), ε the machine epsilon.  Where |f| is 1 or
-    more, a finer location would buy gains that the run's own stopping test
-    counts as nothing (on tomobench's n4_search, 13,741 evaluations to 1e-4
-    instead of 17,575 at ε); where |f| is far below 1, that test, relative
-    to |f|, is finer than δ.  The
+    run stops, and it also sets the resolution of the first sweep's
+    direction lines; from then on each line's resolution follows the run's
+    progress (see ``powell_minimize``).  x_tol is the line-search parameter
+    tolerance: refinement stops once the minimum is located within
+    tol1 = x_tol·|t| + max(x_tol, δ) on the line parameter t, where
+    δ = sqrt(2·max(ε, r)·(|f| + 1)/κ) is the line's resolution, the
+    distance over which the bracket's parabola (curvature κ) changes f by
+    max(ε, r)·(|f| + 1), ε the machine epsilon and r the line's relative
+    resolution (f_tol in the first sweep).  A finer location would buy
+    gains that the run's next sweep does not need: on tomobench's
+    n4_search, 8,783 evaluations to 1e-4, against 13,741 with every line
+    resolved to f_tol and 17,575 with every line resolved to ε.  The
     minimum counts as located when the bracket has shrunk to about 2·tol1
     around the best point, which holds on any line, or when the parabola
     through the three best points puts its vertex within tol1 of the best
@@ -145,7 +155,9 @@ def line_minimize(
     wherever it lies, between b and c too.  Without a curvature (None, NaN
     or κ <= 0) the search runs as above.  On tomobench's n4_search, volume
     lines took 4.08 calls each with it and 4.69 without, resolved to
-    machine epsilon; resolved to its f_tol = 1e-12 (below), they take 3.13.
+    machine epsilon; resolved to its f_tol = 1e-12 (below), they took 3.13,
+    and resolved from the second sweep on to a share of the last sweep's
+    gain, 2.43.
 
     Then refines inside the bracket with Brent's parabolic/golden steps
     down to tol1 = x_tol·|t| + max(x_tol, δ).
@@ -154,12 +166,13 @@ def line_minimize(
     bracket (a, b, c), the bracket's parabola changes f by less than
     r·(|f(b)| + 1) over δ.  At ``f_tol`` = 0, r is the machine epsilon ε
     and δ the distance below which f changes by less than one rounding
-    unit, so no finer location is meaningful (Brent 1973, §5); a caller
-    that stops once f gains less than ``f_tol`` relative, as
-    ``powell_minimize`` does, passes its ``f_tol`` and so stops resolving
-    f below it.  The same δ sets tol1 in the curvature probe and the
-    bracketing parabola exit.  When κ <= 0, δ is not defined and x_tol
-    alone applies.
+    unit, so no finer location is meaningful (Brent 1973, §5).
+    ``powell_minimize`` passes its run's ``f_tol``, the relative gain below
+    which the run stops, to the lines of its first sweep, and from the
+    second sweep on a share of the last sweep's gain, so that no line
+    resolves f much more finely than the run is gaining.  The same δ sets
+    tol1 in the curvature probe and the bracketing parabola exit.  When
+    κ <= 0, δ is not defined and x_tol alone applies.
     The refinement starts from all three bracket points (the better end
     point as Brent's second-best), so its first step can be the parabola
     through them rather than a golden section.
@@ -475,14 +488,29 @@ def powell_minimize(
     this takes the evaluations to a deviation of 1e-4 from 19,688 to
     17,575.
 
-    Every line search gets ``cfg.f_tol`` as its ``f_tol``, so it resolves
-    f to the relative change that the sweep test registers, not to machine
-    epsilon.  This takes n4_search from 17,575 evaluations to 13,741 (3.70
-    calls per line instead of 4.74) and one sweep from the bundled n = 6
-    chart from 2,000 to 1,866.  Where |f| is far below 1, the sweep test,
-    relative to |f|, still counts gains that δ, relative to |f| + 1, no
-    longer resolves: n = 4 runs, whose f tends to 0, reach a deviation of
-    1e-8 less often.
+    Each line search resolves f only as far as the run needs it, not to
+    machine epsilon.  The first sweep's direction lines get ``cfg.f_tol``
+    as their ``f_tol``, the relative change that the sweep test registers.
+    After a sweep's direction lines and its sweep test, the run sets
+    line_tol = 0.01·(f_start − f_cur)/(n·(|f_cur| + 1)), with f_start and
+    f_cur the values before and after those lines; that sweep's
+    displacement line and every line of the next sweep get it as their
+    ``f_tol``.  Each line then gives up at most 1 % of the last sweep's
+    gain, shared out over its n lines.  Early sweeps gain far more than
+    f_tol, so their lines stop sooner; as the gains shrink, line_tol falls
+    to ε (``line_minimize`` floors it there), which deep targets need where
+    f tends to 0.  Resolving every line to f_tol took n4_search from
+    17,575 evaluations to 13,741 (3.70 calls per line instead of 4.74) and
+    one sweep from the bundled n = 6 chart from 2,000 to 1,866; a share of
+    the last sweep's gain takes n4_search to 8,783 (2.89 calls per line)
+    and leaves one-sweep runs as they were.  Over n4_search's 40 phases
+    from start charts 1–8, a deviation of 1e-8 is reached on 6 of 8
+    charts (4 of 8 with every line resolved to f_tol).  A sweep whose lines
+    were resolved more coarsely than ``cfg.f_tol`` may gain nothing only
+    because of that, so the sweep test stops the run only after a sweep
+    whose direction lines got ``f_tol <= cfg.f_tol``.  A sweep that moved
+    nothing skips Powell's extrapolation, whose point 2x − x_start would
+    be x.
 
     ``callback(x, fval, nfev, sweep)`` runs after every sweep.
 
@@ -514,6 +542,7 @@ def powell_minimize(
     curvatures = np.full(n, np.nan)
     last_step = 1.0  # the run's last accepted step
     x_skip, f_skip = None, np.inf  # lowest passed-over extrapolated point
+    line_tol = cfg.f_tol  # the f_tol each line search gets
     converged = False
     nit = 0
     for sweep in range(1, max_sweeps + 1):
@@ -531,7 +560,7 @@ def powell_minimize(
                 x_tol=cfg.x_tol,
                 f_origin=f_prev,
                 curvature=curvatures[i],
-                f_tol=cfg.f_tol,
+                f_tol=line_tol,
             )
             curvatures[i] = line.curvature
             if line.fval < f_cur and line.t != 0.0:
@@ -544,12 +573,17 @@ def powell_minimize(
                 big = i
         if callback is not None:
             callback(x, f_cur, nfev, sweep)
-        if 2.0 * (f_start - f_cur) <= cfg.f_tol * (abs(f_start) + abs(f_cur)) + _TINY:
+        # a sweep whose lines were coarser than f_tol may have gained
+        # nothing only because they were
+        if line_tol <= cfg.f_tol and 2.0 * (f_start - f_cur) <= cfg.f_tol * (abs(f_start) + abs(f_cur)) + _TINY:
             converged = True
             break
+        line_tol = _LINE_SHARE * (f_start - f_cur) / (n * (abs(f_cur) + 1.0))
         # Powell's test on the extrapolated point 2x - x_start decides whether
         # the sweep displacement is worth keeping as a search direction.
         disp = x - x_start
+        if not disp.any():
+            continue  # 2x - x_start is x
         x_ext = x + disp
         f_ext = ff(x_ext)
         if f_ext < min(f_cur, f_skip):
@@ -564,7 +598,7 @@ def powell_minimize(
                     t0=1.0,
                     x_tol=cfg.x_tol,
                     f_origin=f_cur,
-                    f_tol=cfg.f_tol,
+                    f_tol=line_tol,
                 )
                 if line.fval < f_cur and line.t != 0.0:
                     x = x + line.t * disp

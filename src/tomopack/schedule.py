@@ -49,11 +49,13 @@ class ScheduleConfig:
 
     ``l_phase_length`` caps the ln(L) phases separately; those sweeps cost
     more per line search (ln L has a kink at each line minimum: from
-    tomobench's n4 start chart, 12.7 objective calls per ln L line against
-    3.1 per volume line, whose search can start from its direction's last
-    curvature; 15.0 and 4.1 with lines resolved to machine epsilon) and mostly serve to unstick the volume phases, so
-    a shorter budget there is often the better trade.  None means use
-    ``phase_length`` for both.
+    tomobench's n4 start chart, 8.7 objective calls per ln L line against
+    2.4 per volume line, whose search can start from its direction's last
+    curvature, with lines resolved from a run's second sweep on to a share
+    of the last sweep's gain; 12.7 and 3.1 with every line resolved to the
+    run's f_tol, 15.0 and 4.1 resolved to machine epsilon) and mostly serve
+    to unstick the volume phases, so a shorter budget there is often the
+    better trade.  None means use ``phase_length`` for both.
     """
 
     phase_length: int = 200   # Powell sweeps per phase

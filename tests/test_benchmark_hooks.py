@@ -92,25 +92,45 @@ def test_powell_passes_f_origin_by_keyword(monkeypatch):
 
 
 def test_powell_passes_f_tol_by_keyword(monkeypatch):
-    # each line's resolution δ follows the run's f_tol: every line search,
-    # along a direction or the sweep displacement, receives it by keyword
-    passed = []
+    # each line's resolution δ follows the run's progress: sweep 1's
+    # direction lines receive the run's f_tol, and every later line, along
+    # a direction or the sweep displacement, _LINE_SHARE of the gain of the
+    # sweep before it over n(|f| + 1), by keyword
+    events = []
     real_line = tomopack.powell.line_minimize
 
     def checked_line(f, *args, **kwargs):
-        passed.append((kwargs.get("f_tol"), "curvature" in kwargs))
+        events.append(("line", kwargs.get("f_tol"), "curvature" in kwargs, kwargs["f_origin"]))
         return real_line(f, *args, **kwargs)
 
     monkeypatch.setattr(tomopack.powell, "line_minimize", checked_line)
     cfg = tomopack.powell.PowellConfig(f_tol=1e-12)
+    x0 = np.array([0.3, 0.2])
     tomopack.powell.powell_minimize(
         lambda x: float((x[0] - 1.0) ** 2 + 3.0 * (x[1] + x[0]) ** 2),
-        np.array([0.3, 0.2]),
+        x0,
         cfg,
         4,
+        callback=lambda x, fval, nfev, sweep: events.append(("sweep", fval)),
     )
-    assert {direction for _, direction in passed} == {True, False}  # both kinds ran
-    assert all(f_tol == cfg.f_tol for f_tol, _ in passed)
+    lines = [event for event in events if event[0] == "line"]
+    assert {direction for _, _, direction, _ in lines} == {True, False}  # both kinds ran
+    n = x0.size
+    expected = cfg.f_tol
+    f_start = None
+    checked = 0
+    for event in events:
+        if event[0] == "sweep":
+            gain = f_start - event[1]
+            expected = tomopack.powell._LINE_SHARE * gain / (n * (abs(event[1]) + 1.0))
+            f_start = None
+            continue
+        _, f_tol, direction, f_origin = event
+        if direction and f_start is None:
+            f_start = f_origin  # f where the sweep's first line starts
+        assert f_tol == expected
+        checked += expected != cfg.f_tol
+    assert checked  # lines after sweep 1 ran, at a resolution of their own
 
 
 class TestStopPointHook:

@@ -639,7 +639,10 @@ class TestPowellMinimize:
 
     def test_extrapolated_point_evaluated_once(self, monkeypatch):
         # the line along the sweep displacement starts at t = 1, the
-        # extrapolated point 2x - x_start, whose value Powell's test took
+        # extrapolated point 2x - x_start, whose value Powell's test took;
+        # the only points evaluated outside a line search are x0 and the
+        # extrapolated points, one per sweep that moved x, none after a
+        # sweep that did not (2x - x_start would be x)
         replaced = []
         real_degenerate = tomopack.powell._directions_degenerate
 
@@ -648,25 +651,77 @@ class TestPowellMinimize:
             return real_degenerate(directions)
 
         monkeypatch.setattr(tomopack.powell, "_directions_degenerate", recording_degenerate)
+        real_line = tomopack.powell.line_minimize
+        in_line = []
+        sweep_starts = {}  # sweep -> f at its start
+
+        def recording_line(f, *args, **kwargs):
+            if "curvature" in kwargs:  # a direction line
+                sweep_starts.setdefault(len(sweep_ends) + 1, kwargs["f_origin"])
+            in_line.append(True)
+            try:
+                return real_line(f, *args, **kwargs)
+            finally:
+                in_line.pop()
+
+        monkeypatch.setattr(tomopack.powell, "line_minimize", recording_line)
         points = []
-        after_sweep = []
+        outside = []  # (sweeps done, point) of each evaluation outside a line
+        sweep_ends = []
 
         def recorded(x):
             points.append(x.tobytes())
+            if not in_line:
+                outside.append((len(sweep_ends), x.tobytes()))
             return rosenbrock(x)
 
-        powell_minimize(
+        res = powell_minimize(
             recorded,
             np.array([-1.2, 1.0]),
             PowellConfig(),
             10,
-            callback=lambda *args: after_sweep.append(len(points)),
+            callback=lambda x, fval, nfev, sweep: sweep_ends.append(fval),
         )
         assert replaced, "no direction was replaced"
-        extrapolated = [points[k] for k in after_sweep if k < len(points)]
-        assert len(extrapolated) >= 9
-        for x_ext in extrapolated:
+        assert outside[0] == (0, points[0])  # x0
+        assert not res.converged and len(sweep_ends) == 10
+        moved = [sweep_ends[k - 1] < sweep_starts[k] for k in range(1, 11)]
+        assert not all(moved), "every sweep moved x"
+        for k in range(1, 11):
+            extrapolated = [x for done, x in outside if done == k]
+            assert len(extrapolated) == (1 if moved[k - 1] else 0)
+        assert len(outside) - 1 == sum(moved) >= 8
+        for _, x_ext in outside[1:]:
             assert points.count(x_ext) == 1
+
+    def test_run_stops_only_on_finely_resolved_sweep(self, monkeypatch):
+        # from the second sweep on, lines resolve f only to a share of the
+        # last sweep's gain; from (-1.2, 1) sweep 2's coarse lines gain
+        # nothing, and without the guard the run would stop there at f = 3.98
+        real_line = tomopack.powell.line_minimize
+        sweep_ends = []
+        passed = []  # (sweep, f_tol) of every line search
+
+        def recording_line(f, *args, **kwargs):
+            # a displacement line runs after its sweep's callback
+            sweep = len(sweep_ends) + ("curvature" in kwargs)
+            passed.append((sweep, kwargs["f_tol"]))
+            return real_line(f, *args, **kwargs)
+
+        monkeypatch.setattr(tomopack.powell, "line_minimize", recording_line)
+        cfg = PowellConfig()
+        res = powell_minimize(
+            rosenbrock,
+            np.array([-1.2, 1.0]),
+            cfg,
+            200,
+            callback=lambda x, fval, nfev, sweep: sweep_ends.append(fval),
+        )
+        assert res.converged
+        last = [f_tol for sweep, f_tol in passed if sweep == res.nit]
+        assert last and all(f_tol <= cfg.f_tol for f_tol in last)
+        assert any(f_tol > cfg.f_tol for _, f_tol in passed)  # coarse lines ran
+        assert res.fun <= 1e-8
 
     def test_one_sweep_from_bundled_n6_chart(self):
         # the `optimize --resume` case: one volume sweep from the stored
@@ -691,12 +746,14 @@ class TestPowellMinimize:
         # instead of a golden step: 5,871 evaluations without it, 5,178
         # with it, and the run ends as low.  Lines resolved to f_tol = 1e-12
         # instead of machine epsilon take 4,289, and f ends at 0.0237957
-        # instead of 0.0237974
+        # instead of 0.0237974.  Lines that from the second sweep on resolve
+        # f only to a share of the last sweep's gain take 2,770, and f ends
+        # at 0.020937
         objective = make_objective(NEG_LOG_QUALITY, 4, 2)
         x0 = random_chart(np.random.default_rng(1), 4, 2)
         res = powell_minimize(objective, x0, PowellConfig(x_tol=1e-9, f_tol=1e-12), 8)
         assert res.nit == 8
-        assert res.nfev <= 4600
+        assert res.nfev <= 3000
         assert res.fun <= 0.0238
 
     def test_one_log_l_sweep_on_n4_chart(self):
