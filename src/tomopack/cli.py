@@ -197,20 +197,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_opt.add_argument(
         "--f-tol", type=float, default=pc.f_tol,
-        help="Powell relative objective tolerance: a run stops when a sweep gains less than "
-        "this; the first sweep's line searches resolve f only to this relative change (or "
-        "to one rounding unit, whichever is coarser), later ones to 1%% of the last sweep's "
-        "gain shared out over its lines",
+        help="relative gain of a Powell sweep below which a run stops, and the resolution of "
+        "its first sweep's line searches (see line_minimize)",
     )
     p_opt.add_argument(
         "--x-tol", type=float, default=pc.x_tol,
-        help="line-search parameter tolerance, coarsened to the line's resolution, where f "
-        "changes by less than one rounding unit; a line search stops when its bracket has "
-        "shrunk to that tolerance (this ends any line) or when its parabola's vertex lies "
-        "within it of the best point (this ends a smooth line a few evaluations sooner); "
-        "on a kinked line, where no parabola fits, it steps to the kink of a V model and "
-        "then probes that tolerance beside it, so the bracket closes in a few evaluations; "
-        "after such a step only the bracket ends the line",
+        help="line-search parameter tolerance (see line_minimize)",
     )
     p_opt.add_argument("--workers", type=int, default=1, help="parallel restart processes")
     p_opt.add_argument("--out", required=True, help="existing directory for chart/report/trace")

@@ -47,15 +47,11 @@ LOG_L_SENTINEL = -1e12
 class ScheduleConfig:
     """Phase layout of one optimization run plus restart bookkeeping.
 
-    ``l_phase_length`` caps the ln(L) phases separately; those sweeps cost
-    more per line search (ln L has a kink at each line minimum: from
-    tomobench's n4 start chart, 8.7 objective calls per ln L line against
-    2.4 per volume line, whose search can start from its direction's last
-    curvature, with lines resolved from a run's second sweep on to a share
-    of the last sweep's gain; 12.7 and 3.1 with every line resolved to the
-    run's f_tol, 15.0 and 4.1 resolved to machine epsilon) and mostly serve
-    to unstick the volume phases, so a shorter budget there is often the
-    better trade.  None means use ``phase_length`` for both.
+    ``l_phase_length`` caps the ln(L) phases separately.  ln L has a kink at
+    each line minimum, so an ln L line search costs several volume lines'
+    objective calls, and those phases mostly serve to unstick the volume
+    phases: a shorter budget there is often the better trade.  None means
+    use ``phase_length`` for both.
     """
 
     phase_length: int = 200   # Powell sweeps per phase
@@ -71,11 +67,6 @@ class ScheduleConfig:
             raise ValueError("rng_seed must be non-negative")
         if self.l_phase_length is not None and self.l_phase_length <= 0:
             raise ValueError("l_phase_length must be positive when given")
-
-    def sweeps_for(self, kind: str) -> int:
-        if kind == LOG_L and self.l_phase_length is not None:
-            return self.l_phase_length
-        return self.phase_length
 
 
 @dataclass(frozen=True)
@@ -190,7 +181,10 @@ def alternating_optimize(
                 )
             )
 
-        result = powell_minimize(objective, x, cfg, sched.sweeps_for(kind), callback=record)
+        sweeps = sched.phase_length
+        if kind == LOG_L and sched.l_phase_length is not None:
+            sweeps = sched.l_phase_length
+        result = powell_minimize(objective, x, cfg, sweeps, callback=record)
         nfev_total += result.nfev
         if kind == NEG_LOG_QUALITY:
             consider(result.x_best)

@@ -8,7 +8,7 @@ import pytest
 import tomopack.cli
 from tomopack.cli import main
 from tomopack.fileio import read_chart, write_chart
-from tomopack.hilbert import chart_length, quorum_from_chart
+from tomopack.hilbert import Quorum, chart_length, quorum_from_chart
 from tomopack.metrics import upper_bound
 from tomopack.reference import mub_family, pauli_quorum
 
@@ -89,6 +89,29 @@ class TestOptimize:
         assert out == ""
         assert [p.name for p in tmp_path.iterdir()] == ["chart.json"]
         assert searches == []  # refused before the search, not after it
+
+    def test_failed_write_after_search_exits_3(self, capsys, tmp_path, monkeypatch):
+        searches = []
+        real_search = tomopack.cli.multi_restart
+
+        def counted_search(*args, **kwargs):
+            searches.append(args)
+            return real_search(*args, **kwargs)
+
+        def failing_write(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(tomopack.cli, "multi_restart", counted_search)
+        monkeypatch.setattr(tomopack.cli, "write_chart", failing_write)
+        code, out, err = run_cli(
+            capsys, "optimize", "--n", "2", "--l", "1", "--restarts", "1", "--phases", "1",
+            "--sweeps-per-phase", "2", "--out", str(tmp_path),
+        )
+        assert code == 3
+        assert err.startswith(f"error: cannot write to output directory {tmp_path}: disk full")
+        assert out == ""
+        assert len(searches) == 1
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flags", [["--restarts", "8"], ["--seed", "5"], ["--workers", "2"]])
     def test_resume_rejects_flags_it_ignores(self, capsys, n2_run, tmp_path, flags):
@@ -258,6 +281,22 @@ class TestEvaluate:
         assert named in err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "doc,named",
+        [
+            ([0.0, 0.0, 0.0, 0.0], "top-level value must be an object"),
+            ({"format_version": 1, "n": 2, "l": 1, "fixed_first": True}, "missing field 'angles'"),
+        ],
+        ids=["array", "no-angles"],
+    )
+    def test_document_without_angles_exits_2(self, capsys, tmp_path, doc, named):
+        path = tmp_path / "shape.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "evaluate", str(path))
+        assert code == 2
+        assert named in err
+        assert out == ""
+
     def test_missing_file(self, capsys, tmp_path):
         code, _out, err = run_cli(capsys, "evaluate", str(tmp_path / "nope.json"))
         assert code == 2
@@ -399,6 +438,21 @@ class TestReference:
         code, _out, err = run_cli(capsys, "reference", "mub2", "--out", str(target))
         assert code == 1
         assert err.startswith("error: verification failed")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_n4_check_exits_1(self, capsys, tmp_path, monkeypatch):
+        # one projector turned slightly off the Pauli quorum: still a rank-2
+        # projector, but the quality leaves the bound and L leaves 0
+        quorum = pauli_quorum(2)
+        turn, _ = np.linalg.qr(np.eye(4) + 1e-3 * np.random.default_rng(0).standard_normal((4, 4)))
+        projectors = quorum.projectors.copy()
+        projectors[3] = turn @ projectors[3] @ turn.T
+        monkeypatch.setattr(tomopack.cli, "halfdim_optimal_quorum_n4", lambda: Quorum(projectors, 4, 2))
+        target = tmp_path / "n4.json"
+        code, out, err = run_cli(capsys, "reference", "n4-rank2", "--out", str(target))
+        assert code == 1
+        assert err.startswith("error: verification failed")
+        assert out == ""
         assert list(tmp_path.iterdir()) == []
 
     def test_out_file(self, capsys, tmp_path):

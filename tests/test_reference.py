@@ -44,6 +44,13 @@ class TestMubFamilies:
         )
         assert verify_mub_family(bases) == worst
 
+    def test_verify_rejects_non_orthonormal_basis(self):
+        bases = mub_family(3)
+        bases[2] = bases[2].copy()
+        bases[2][:, 1] = bases[2][:, 0]  # a repeated vector: unbiased to the rest, not orthonormal
+        with pytest.raises(ValueError, match="basis 2 is not orthonormal"):
+            verify_mub_family(bases)
+
     def test_unsupported_dimension(self):
         with pytest.raises(ValueError):
             mub_family(5)
